@@ -19,25 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DegenerateWeight,
-    DimensionMismatch,
-    EmptySupport,
-    IllConditionedPencil,
-    MaxaccError,
-    ModelInvariantError,
-    NoStabilizingSolution,
-    NotDetectable,
-    NotDetectableOrStabilizable,
-    NotRateMatrix,
-    NotStable,
-    NotUniqueStationary,
-    ParseError,
-    RankDeficientDorH,
-    SchemaError,
-    WordBudgetExceeded,
-    ZeroSupport,
-)
+from .errors import MaxaccError
 from .finite_analysis import finite_verdict
 from .lingauss import is_stable, kappa_sweep_lg, ks_check, reduce_unstable, transmission_zeros
 from .markov import reduce_support, time_reverse
@@ -48,6 +30,7 @@ from .wonham import SimParams, kappa_sweep_finite
 
 DEFAULT_KAPPAS_FINITE = [0.5, 0.1, 0.02]
 DEFAULT_KAPPAS_LG = [0.1, 0.01, 0.001, 0.0001]
+EXIT_PREFIX = {1: "error:", 2: "undecided:", 3: "numerical failure:"}
 
 
 class _UsageError(Exception):
@@ -162,6 +145,11 @@ def _parse_f(spec: str, d: int) -> TestFunction:
     return TestFunction(values, name="vector")
 
 
+def _first_set(*values):
+    """The first value that is not None (0 counts as set), else None."""
+    return next((v for v in values if v is not None), None)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     parsed = parse_model_file(args.model)
     sim = parsed.sim
@@ -171,18 +159,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         kappas = sim.kappas
     else:
         kappas = DEFAULT_KAPPAS_FINITE if parsed.kind == "finite" else DEFAULT_KAPPAS_LG
-    seed = args.seed if args.seed is not None else (sim.seed if sim.seed is not None else 0)
+    seed = _first_set(args.seed, sim.seed, 0)
 
     if parsed.kind == "finite":
         model = parsed.model
         f = _parse_f(args.f, model.d) if args.f else indicator(0, model.d)
         params = SimParams(
-            trials=args.trials or sim.trials or 32,
-            horizon=args.horizon or sim.horizon or 200.0,
-            dt=args.dt if args.dt is not None else sim.dt,
-            burn_in=args.burn_in if args.burn_in is not None else sim.burn_in,
+            trials=_first_set(args.trials, sim.trials, 32),
+            horizon=_first_set(args.horizon, sim.horizon, 200.0),
+            dt=_first_set(args.dt, sim.dt),
+            burn_in=_first_set(args.burn_in, sim.burn_in),
             seed=seed,
         )
+        if params.trials < 1:
+            raise _UsageError(f"--trials must be at least 1, got {params.trials}")
+        for flag, value in (("--horizon", params.horizon), ("--dt", params.dt)):
+            if value is not None and value <= 0:
+                raise _UsageError(f"{flag} must be positive, got {value:g}")
+        if params.burn_in is not None and params.burn_in < 0:
+            raise _UsageError(f"--burn-in must be nonnegative, got {params.burn_in:g}")
         result = kappa_sweep_finite(model, f, kappas, params)
     else:
         for name in ("trials", "horizon", "dt", "burn_in", "f"):
@@ -287,35 +282,15 @@ def run_command(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (
-        ParseError,
-        SchemaError,
-        ModelInvariantError,
-        NotRateMatrix,
-        NotUniqueStationary,
-        DimensionMismatch,
-        RankDeficientDorH,
-        NotDetectableOrStabilizable,
-        NotDetectable,
-        ZeroSupport,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IllConditionedPencil as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return 2
-    except (
-        DegenerateWeight,
-        NoStabilizingSolution,
-        EmptySupport,
-        NotStable,
-        WordBudgetExceeded,
-        MaxaccError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except MaxaccError as exc:
+        print(f"{EXIT_PREFIX[exc.exit_code]} {exc}", file=sys.stderr)
+        return exc.exit_code
+    except np.linalg.LinAlgError as exc:  # before ValueError, its base class
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -2,7 +2,8 @@
 
 
 class MaxaccError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; exit_code is the CLI exit status."""
+    exit_code = 3
 
 
 # ---------------------------------------------------------------------------
@@ -11,10 +12,12 @@ class MaxaccError(Exception):
 
 class NotRateMatrix(MaxaccError):
     """Matrix is not a valid generator: negative off-diagonal entry or row sum != 0."""
+    exit_code = 1
 
 
 class NotUniqueStationary(MaxaccError):
     """The chain has more than one stationary law (reducible with several closed classes)."""
+    exit_code = 1
 
 
 class EmptySupport(MaxaccError):
@@ -23,6 +26,7 @@ class EmptySupport(MaxaccError):
 
 class ZeroSupport(MaxaccError):
     """Operation requires a strictly positive stationary law; reduce support first."""
+    exit_code = 1
 
 
 class WordBudgetExceeded(MaxaccError):
@@ -39,10 +43,12 @@ class DegenerateWeight(MaxaccError):
 
 class DimensionMismatch(MaxaccError):
     """Matrix shapes are inconsistent with a p-state, m-noise, n-observation model."""
+    exit_code = 1
 
 
 class RankDeficientDorH(MaxaccError):
     """D must have independent columns and H independent rows."""
+    exit_code = 1
 
 
 class NotStable(MaxaccError):
@@ -51,10 +57,12 @@ class NotStable(MaxaccError):
 
 class NotDetectable(MaxaccError):
     """(A, H) is not detectable; no output injection can stabilize A - KH."""
+    exit_code = 1
 
 
 class NotDetectableOrStabilizable(MaxaccError):
     """Model violates the standing assumptions: A unstable and not reducible to a stable model."""
+    exit_code = 1
 
 
 class SingularShift(MaxaccError):
@@ -63,6 +71,7 @@ class SingularShift(MaxaccError):
 
 class IllConditionedPencil(MaxaccError):
     """Zero certification is ambiguous: singular values fall inside the tolerance band."""
+    exit_code = 2
 
 
 class NoStabilizingSolution(MaxaccError):
@@ -75,11 +84,14 @@ class NoStabilizingSolution(MaxaccError):
 
 class ParseError(MaxaccError):
     """Model file is not well-formed structured text."""
+    exit_code = 1
 
 
 class SchemaError(MaxaccError):
     """Model file does not match the published schema."""
+    exit_code = 1
 
 
 class ModelInvariantError(MaxaccError):
     """Model file parsed but the described model violates an invariant; names the field."""
+    exit_code = 1

@@ -258,6 +258,11 @@ def simulate_observations(
     return inc
 
 
+def trial_rngs(seed: int, trial: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """(signal path, observation noise) RNG substreams of one trial, keyed (seed, trial, stream)."""
+    return np.random.default_rng([seed, trial, 0]), np.random.default_rng([seed, trial, 1])
+
+
 @dataclass
 class TrajectoryBundle:
     """One simulation run: signal path plus gridded observation increments."""
@@ -282,11 +287,14 @@ def simulate_bundle(
 ) -> TrajectoryBundle:
     """Sample a stationary signal path and its observation increments together.
 
-    Signal and observation noise use independent substreams of the seed so
-    that refining dt does not perturb the path.
+    The path covers the whole grid of round(horizon / dt) cells, and both
+    draw from trial_rngs(seed, 0): the bundle is the record that trial 0 of
+    estimate_stationary_error(seed=seed) filters at the same dt and horizon.
     """
-    path_rng = np.random.default_rng([seed, 0])
-    obs_rng = np.random.default_rng([seed, 1])
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    horizon = round(horizon / dt) * dt
+    path_rng, obs_rng = trial_rngs(seed, 0)
     jt, st = simulate_path(model, horizon, path_rng)
     inc = simulate_observations(jt, st, model.h, kappa, dt, horizon, obs_rng)
     return TrajectoryBundle(jt, st, inc, dt, kappa, seed)

@@ -25,39 +25,39 @@ from scipy.linalg import expm
 
 from .errors import DegenerateWeight
 from .finite_analysis import finite_verdict
-from .markov import FiniteStateModel, integrated_observation, sample_path, state_at
+from .markov import FiniteStateModel, integrated_observation, sample_path, state_at, trial_rngs
 from .verdicts import SweepResult, SweepRow, TestFunction, classify_trend, consistency_flag
 
 BLOCK_STEPS = 16384         # grid steps precomputed per vectorized block
 CHUNK_TRIALS = 64           # trials per work item; fixed so results never depend on pool size
 LOG_TINY = -700.0           # full log-likelihood below this in every state: weights underflowed
 STEP_BUDGET = 50_000_000
+DT_FACTOR = 0.5             # default step: dt = DT_FACTOR * kappa^2 ...
+DT_MIN = 1e-6               # ... but never below DT_MIN
 
 
 @dataclass
 class SimParams:
-    """Knobs for the Monte-Carlo estimator; None means derive from the model."""
+    """Knobs for the Monte-Carlo estimator; dt and burn_in None mean derive from the model."""
 
     trials: int = 32
     horizon: float = 200.0
     dt: float | None = None
     burn_in: float | None = None
     seed: int = 0
-    dt_factor: float = 0.5
-    dt_min: float = 1e-6
 
 
-def auto_dt(model: FiniteStateModel, kappa: float, c: float = 0.5, dt_min: float = 1e-6) -> float:
-    """Step size policy: dt <= c * kappa^2, capped by the fastest jump rate.
+def auto_dt(model: FiniteStateModel, kappa: float) -> float:
+    """Step size policy: dt <= DT_FACTOR * kappa^2, capped by the fastest jump rate.
 
     The Bayes correction stiffens like kappa^-2, so dt must shrink with the
-    noise; the floor keeps pathological kappas from freezing the sweep.
+    noise; the DT_MIN floor keeps pathological kappas from freezing the sweep.
     """
-    dt = c * kappa * kappa
+    dt = DT_FACTOR * kappa * kappa
     max_rate = float(np.max(-np.diag(model.Lambda), initial=0.0))
     if max_rate > 0:
         dt = min(dt, 0.2 / max_rate)
-    return max(dt, dt_min)
+    return max(dt, DT_MIN)
 
 
 def auto_burn_in(model: FiniteStateModel) -> float:
@@ -85,21 +85,23 @@ def _filter_block(
     T_dt: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """Advance a batch of filters through one block of predict/correct steps in place.
+    """Advance a batch of filters through one block of predict/correct steps.
 
     mu: (batch, d) current filter states; weights: (batch, steps, d)
-    positive likelihood factors, already shifted per row for stability.
-    Returns the (batch, steps, d) path of corrected filter states.
+    nonnegative likelihood factors, already shifted per row for stability.
+    Returns the (batch, steps, d) path of corrected filter states. Mass is
+    checked once per block: a row whose mass vanishes or turns NaN stays NaN.
     """
     out = np.empty_like(weights)
-    for k in range(weights.shape[1]):
-        mu = mu @ T_dt
-        mu = mu * weights[:, k, :]
-        s = mu.sum(axis=1)
-        if not np.all(s > 0.0) or not np.all(np.isfinite(s)):
-            raise DegenerateWeight("filter mass vanished; refine dt for this kappa")
-        mu /= s[:, None]
-        out[:, k, :] = mu
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(weights.shape[1]):
+            mu = mu @ T_dt
+            mu = mu * weights[:, k, :]
+            s = mu.sum(axis=1)
+            mu /= s[:, None]
+            out[:, k, :] = mu
+    if not np.all(np.isfinite(mu)):
+        raise DegenerateWeight("filter mass vanished; refine dt for this kappa")
     return out
 
 
@@ -121,6 +123,18 @@ def _log_weights(
     return state_part, shared
 
 
+def _filter_increments(
+    model: FiniteStateModel, mu: np.ndarray, T_dt: np.ndarray,
+    inc: np.ndarray, kappa: float, dt: float,
+) -> np.ndarray:
+    """Filter a (batch, steps, n) block of increments from states mu to (batch, steps, d)."""
+    state_part, shared = _log_weights(inc, model.h, kappa, dt)
+    top = state_part.max(axis=2, keepdims=True)
+    if np.any(top[..., 0] + shared < LOG_TINY):
+        raise DegenerateWeight("all likelihood weights underflowed; dt too large for this kappa")
+    return _filter_block(mu, T_dt, np.exp(state_part - top))
+
+
 def run_filter(
     model: FiniteStateModel,
     obs_increments: np.ndarray,
@@ -131,9 +145,8 @@ def run_filter(
     """Run the discretized optimal filter along one observation record.
 
     Returns the (steps + 1, d) path of filter states starting from mu0
-    (default: the stationary law). Raises DegenerateWeight when the full
-    likelihood underflows in every state, which signals that dt is too large
-    for this kappa.
+    (default: the stationary law). Raises DegenerateWeight when the filter
+    degenerates, which signals that dt is too large for this kappa.
     """
     if kappa <= 0:
         raise ValueError("run_filter needs kappa > 0")
@@ -149,13 +162,7 @@ def run_filter(
     path[0] = mu[0]
     for start in range(0, steps, BLOCK_STEPS):
         block = inc[None, start : start + BLOCK_STEPS]
-        state_part, shared = _log_weights(block, model.h, kappa, dt)
-        if np.any(state_part.max(axis=2) + shared < LOG_TINY):
-            raise DegenerateWeight(
-                "all likelihood weights underflowed; dt too large for this kappa"
-            )
-        w = np.exp(state_part - state_part.max(axis=2, keepdims=True))
-        out = _filter_block(mu, T_dt, w)
+        out = _filter_increments(model, mu, T_dt, block, kappa, dt)
         path[1 + start : 1 + start + out.shape[1]] = out[0]
         mu = out[:, -1, :].copy()
     return path
@@ -173,18 +180,18 @@ def _chunk_trial_means(
 ) -> np.ndarray:
     """Per-trial time-averaged squared error for one chunk of trials.
 
-    Each trial owns two RNG substreams keyed by (seed, trial, stream): one for
-    the signal path, one for observation noise. The keying makes results
+    Each trial owns the two RNG substreams of trial_rngs(seed, trial): one
+    for the signal path, one for observation noise. The keying makes results
     independent of chunking and pool size.
     """
     batch = len(trial_indices)
     horizon = steps * dt
-    paths = []
+    paths, obs_rngs = [], []
     for t in trial_indices:
-        path_rng = np.random.default_rng([seed, int(t), 0])
+        path_rng, obs_rng = trial_rngs(seed, int(t))
         x0 = int(path_rng.choice(model.d, p=model.pi))
         paths.append(sample_path(model.Lambda, x0, horizon, path_rng))
-    obs_rngs = [np.random.default_rng([seed, int(t), 1]) for t in trial_indices]
+        obs_rngs.append(obs_rng)
 
     T_dt = _transition(model, dt)
     mu = np.tile(model.pi, (batch, 1))
@@ -199,13 +206,7 @@ def _chunk_trial_means(
             drift = np.diff(integrated_observation(jt, st, model.h, times), axis=0)
             inc[b] = drift + kappa * sqrt_dt * obs_rngs[b].standard_normal((blk, model.n))
             fX[b] = fvals[state_at(jt, st, times[1:])]
-        state_part, shared = _log_weights(inc, model.h, kappa, dt)
-        if np.any(state_part.max(axis=2) + shared < LOG_TINY):
-            raise DegenerateWeight(
-                "all likelihood weights underflowed; dt too large for this kappa"
-            )
-        w = np.exp(state_part - state_part.max(axis=2, keepdims=True))
-        out = _filter_block(mu, T_dt, w)
+        out = _filter_increments(model, mu, T_dt, inc, kappa, dt)
         mu = out[:, -1, :].copy()
         first = max(burn_steps - start, 0)
         if first < blk:
@@ -223,8 +224,6 @@ def estimate_stationary_error(
     dt: float | None = None,
     burn_in: float | None = None,
     seed: int = 0,
-    dt_factor: float = 0.5,
-    dt_min: float = 1e-6,
 ) -> tuple[float, float]:
     """Estimate e(f, kappa) with a standard error from between-trial variance.
 
@@ -239,17 +238,23 @@ def estimate_stationary_error(
         raise ValueError(f"test function needs {model.d} values, got shape {fvals.shape}")
     if kappa <= 0:
         raise ValueError("estimate_stationary_error needs kappa > 0")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if dt is None:
-        dt = auto_dt(model, kappa, c=dt_factor, dt_min=dt_min)
+        dt = auto_dt(model, kappa)
     if burn_in is None:
         burn_in = auto_burn_in(model)
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     steps = int(round(horizon / dt))
     burn_steps = int(np.floor(burn_in / dt + 1e-9))
     if burn_steps >= steps:
         raise ValueError(f"horizon {horizon} leaves no samples after burn-in {burn_in}")
     if steps > STEP_BUDGET:
         warnings.warn(
-            f"{steps} grid steps exceed the step budget; consider a larger dt_min",
+            f"{steps} grid steps exceed the step budget; consider a larger dt",
             stacklevel=2,
         )
 
@@ -292,9 +297,7 @@ def kappa_sweep_finite(
     base = model.variance_of(fv.values)
     rows: list[SweepRow] = []
     for kappa in sorted(kappas, reverse=True):
-        dt = params.dt if params.dt is not None else auto_dt(
-            model, kappa, c=params.dt_factor, dt_min=params.dt_min
-        )
+        dt = params.dt if params.dt is not None else auto_dt(model, kappa)
         burn = params.burn_in if params.burn_in is not None else auto_burn_in(model)
         row = SweepRow(
             kappa=kappa,

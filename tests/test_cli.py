@@ -6,15 +6,39 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from maxacc import model_hash, parse_model_file, validate_report
+from maxacc import errors, model_hash, parse_model_file, validate_report
 from maxacc.cli import run_command
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 TWOSTATE = str(MODELS_DIR / "twostate.json")
 CONSTANT_OBS = str(MODELS_DIR / "constant_obs.json")
 KS_EXAMPLE = str(MODELS_DIR / "ks_example.json")
+
+# Documented exit code of every MaxaccError subclass: 1 invalid input,
+# 2 undecided, 3 numerical failure.
+EXIT_CODES = {
+    "ParseError": 1,
+    "SchemaError": 1,
+    "ModelInvariantError": 1,
+    "NotRateMatrix": 1,
+    "NotUniqueStationary": 1,
+    "DimensionMismatch": 1,
+    "RankDeficientDorH": 1,
+    "NotDetectableOrStabilizable": 1,
+    "NotDetectable": 1,
+    "ZeroSupport": 1,
+    "IllConditionedPencil": 2,
+    "EmptySupport": 3,
+    "WordBudgetExceeded": 3,
+    "DegenerateWeight": 3,
+    "NotStable": 3,
+    "SingularShift": 3,
+    "NoStabilizingSolution": 3,
+}
+PREFIXES = {1: "error:", 2: "undecided:", 3: "numerical failure:"}
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -167,8 +191,9 @@ class TestSweepFinite:
 
 
 class TestSweepLinearGaussian:
-    def test_riccati_sweep_consistent(self, capsys):
-        code, out, err = run(capsys, "sweep", "--model", KS_EXAMPLE)
+    @pytest.mark.parametrize("name", ["ks_example", "ks_minimum_phase", "ks_boundary_zero"])
+    def test_riccati_sweep_consistent(self, capsys, name):
+        code, out, err = run(capsys, "sweep", "--model", str(MODELS_DIR / f"{name}.json"))
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 5  # header + sim-block kappas
@@ -221,6 +246,50 @@ class TestErrors:
         )
         assert code == 1
         assert "positive" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--trials", "0"), ("--trials", "-3"), ("--horizon", "0"), ("--horizon", "-1"),
+         ("--dt", "0"), ("--burn-in", "-5")],
+    )
+    def test_out_of_range_simulation_flag_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(
+            capsys, "sweep", "--model", TWOSTATE, "--kappa", "0.5,0.4", flag, value,
+        )
+        assert code == 1
+        assert "usage error" in err and flag in err
+        assert out == ""
+
+    def test_every_error_class_has_a_documented_code(self):
+        classes = {
+            name for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, errors.MaxaccError)
+            and cls is not errors.MaxaccError
+        }
+        assert classes == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_error_exit_code_and_prefix(self, capsys, monkeypatch, name):
+        cls = getattr(errors, name)
+        assert cls.exit_code == EXIT_CODES[name]
+
+        def fail(path):
+            raise cls("boom")
+
+        monkeypatch.setattr("maxacc.cli.parse_model_file", fail)
+        code, _, err = run(capsys, "analyze", "--model", TWOSTATE)
+        assert code == EXIT_CODES[name]
+        assert err == f"{PREFIXES[code]} boom\n"
+
+    @pytest.mark.parametrize("cls, expected", [(ValueError, 1), (np.linalg.LinAlgError, 3)])
+    def test_non_package_error_exit_codes(self, capsys, monkeypatch, cls, expected):
+        def fail(path):
+            raise cls("boom")
+
+        monkeypatch.setattr("maxacc.cli.parse_model_file", fail)
+        code, _, err = run(capsys, "analyze", "--model", TWOSTATE)
+        assert code == expected
+        assert err == f"{PREFIXES[expected]} boom\n"
 
 
 class TestReport:

@@ -105,6 +105,15 @@ class TestRunFilter:
         with pytest.raises(DegenerateWeight):
             run_filter(model, inc, kappa=0.3, dt=0.1)
 
+    def test_vanishing_mass_raises(self):
+        """pi = (0, 1) and an increment that rules out state 1: the mass is 0,
+        which must raise, not divide with a RuntimeWarning."""
+        model = FiniteStateModel([[-1.0, 1.0], [0.0, 0.0]], [0.0, 1.0])
+        inc = np.ones((10, 1))
+        inc[3] = 0.0
+        with pytest.raises(DegenerateWeight, match="mass vanished"):
+            run_filter(model, inc, kappa=0.01, dt=1.0)
+
     def test_kappa_must_be_positive(self):
         with pytest.raises(ValueError):
             run_filter(two_state(), np.zeros((5, 1)), kappa=0.0, dt=0.1)
@@ -115,6 +124,28 @@ class TestRunFilter:
 
 
 class TestEstimator:
+    @pytest.mark.parametrize(
+        "kappa, horizon",
+        # 667 steps in one block, the grid overshooting the horizon by 0.015
+        # (a jump falls there at seed 0); 80 000 steps over several blocks.
+        [(0.3, 30.0), (0.1, 400.0)],
+    )
+    def test_bundle_filter_reproduces_trial_zero(self, kappa, horizon):
+        """simulate_bundle + run_filter at seed s is trial 0 of the estimator at seed s."""
+        model = two_state()
+        f = np.array([0.0, 1.0])
+        dt, burn_in, seed = auto_dt(model, kappa), auto_burn_in(model), 0
+        steps = int(round(horizon / dt))
+        bundle = simulate_bundle(model, horizon, kappa, dt, seed=seed)
+        path = run_filter(model, bundle.obs_increments, kappa, dt)
+        truth = f[bundle.state_at(np.arange(1, steps + 1) * dt)]
+        burn_steps = int(np.floor(burn_in / dt + 1e-9))
+        expected = np.mean((truth - path[1:] @ f)[burn_steps:] ** 2)
+        est, _ = estimate_stationary_error(
+            model, f, kappa, trials=1, horizon=horizon, dt=dt, burn_in=burn_in, seed=seed
+        )
+        assert est == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_constant_test_function_error_is_zero(self):
         est, se = estimate_stationary_error(
             two_state(), np.zeros(2), kappa=0.3, trials=4, horizon=30.0, seed=0
@@ -213,6 +244,9 @@ class TestEstimator:
             estimate_stationary_error(
                 model, np.zeros(2), 0.5, horizon=10.0, burn_in=20.0
             )
+        for name, value in (("trials", 0), ("trials", -3), ("dt", 0.0), ("burn_in", -1.0)):
+            with pytest.raises(ValueError, match=name):
+                estimate_stationary_error(model, np.zeros(2), 0.5, **{name: value})
 
 
 class TestSweep:
