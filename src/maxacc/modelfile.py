@@ -226,6 +226,12 @@ def _build_sim(node: dict | None) -> SimSpec:
     for name in ("horizon", "dt", "burn_in"):
         if node.get(name) is not None:
             setattr(spec, name, _to_float(node[name], f"sim.{name}"))
+    for name in ("horizon", "dt"):
+        value = getattr(spec, name)
+        if value is not None and value <= 0:
+            raise ModelInvariantError(f"sim.{name} must be positive, got {value:g}")
+    if spec.burn_in is not None and spec.burn_in < 0:
+        raise ModelInvariantError(f"sim.burn_in must be nonnegative, got {spec.burn_in:g}")
     if "seed" in node:
         spec.seed = int(node["seed"])
     return spec

@@ -15,8 +15,9 @@ is the proxy.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .verdicts import SweepResult, SweepRow, TestFunction, classify_trend, consi
 
 BLOCK_STEPS = 16384         # grid steps precomputed per vectorized block
 CHUNK_TRIALS = 64           # trials per work item; fixed so results never depend on pool size
+SCAN_MAX_BATCH_D2 = 2000    # blocks with batch * d^2 above this filter as one chunk
 LOG_TINY = -700.0           # full log-likelihood below this in every state: weights underflowed
 STEP_BUDGET = 50_000_000
 DT_FACTOR = 0.5             # default step: dt = DT_FACTOR * kappa^2 ...
@@ -91,16 +93,78 @@ def _filter_block(
     nonnegative likelihood factors, already shifted per row for stability.
     Returns the (batch, steps, d) path of corrected filter states. Mass is
     checked once per block: a row whose mass vanishes or turns NaN stays NaN.
+
+    The recursion mu_{k+1} ∝ mu_k T diag(w_k) is linear up to normalization,
+    so it runs as a two-level scan over chunks of about sqrt(steps) steps:
+    pass 1 multiplies out each chunk's transfer matrix (all chunks at once),
+    pass 2 carries the filter across chunk boundaries in sequence, and pass 3
+    fills in the steps inside every chunk at once from its start state. That
+    is about 3 sqrt(steps) array operations instead of steps of them. Pass 1
+    costs d^2 per trial-step against d for the plain recursion, so past
+    SCAN_MAX_BATCH_D2 the block is one chunk and pass 3 is that recursion.
     """
-    out = np.empty_like(weights)
+    batch, steps, d = weights.shape
+    # A block whose weights are all 1 carries no information: stepwise, a
+    # stationary mu then stays exactly stationary, which mixing chunk rows
+    # in pass 2 can miss by an ulp.
+    one_chunk = batch * d * d > SCAN_MAX_BATCH_D2 or np.all(weights == 1.0)
+    length = steps if one_chunk else math.isqrt(steps - 1) + 1
+    chunks = -(-steps // length)
+    head = (chunks - 1) * length
+    # Step-major copy w[b, k, :, c] = weights[b, c * length + k], so each pass
+    # reads one contiguous slice per trial and step (strided reads across the
+    # whole block cost several times more). The last chunk is padded with
+    # predict-only steps of weight 1.
+    w = np.empty((batch, length, d, chunks))
+    w[..., :-1] = weights[:, :head].reshape(batch, chunks - 1, length, d).transpose(0, 2, 3, 1)
+    w[:, : steps - head, :, -1] = weights[:, head:]
+    w[:, steps - head :, :, -1] = 1.0
+    wk = w.transpose(1, 2, 0, 3)  # wk[k]: the weights of step k, (d, batch, chunks)
+    TT = T_dt.T
+    ones = np.ones(d)
+    starts = np.empty((d, batch, chunks))
+    starts[:, :, 0] = mu.T
     with np.errstate(invalid="ignore", divide="ignore"):
-        for k in range(weights.shape[1]):
-            mu = mu @ T_dt
-            mu = mu * weights[:, k, :]
-            s = mu.sum(axis=1)
-            mu /= s[:, None]
-            out[:, k, :] = mu
-    if not np.all(np.isfinite(mu)):
+        if chunks > 1:
+            # Pass 1: prods[:, i, b, c] is the filter over chunk c of trial b
+            # started from e_i, renormalized every step; logr[i, b, c] is its
+            # log-likelihood, so no row underflows however unlikely its start.
+            shape = (d, d, batch, chunks - 1)
+            prods = np.zeros(shape)
+            prods[np.arange(d), np.arange(d)] = 1.0
+            prods = prods.reshape(d, -1)
+            logr = np.zeros(prods.shape[1])
+            w1 = wk[:, :, None, :, :-1]
+            for k in range(length):
+                prods = TT @ prods
+                step = prods.reshape(shape)
+                step *= w1[k]
+                s = ones @ prods
+                prods /= s
+                logr += np.log(s)
+            prods, logr = prods.reshape(shape), logr.reshape(shape[1:])
+            # A start state whose filter lost all mass has likelihood 0.
+            dead = ~np.isfinite(logr)
+            logr[dead] = -np.inf
+            prods[:, dead] = 0.0
+            # Pass 2: mu_{c+1} ∝ sum_i mu_c[i] exp(logr_c[i]) prods_c[:, i].
+            for c in range(chunks - 1):
+                lw = np.log(starts[:, :, c]) + logr[:, :, c]
+                lw = np.exp(lw - lw.max(axis=0))
+                nxt = (prods[:, :, :, c] * lw).sum(axis=1)
+                starts[:, :, c + 1] = nxt / (ones @ nxt)
+        # Pass 3: the predict/correct recursion inside every chunk at once,
+        # each step's states overwriting the weights it has just used.
+        m = starts.reshape(d, -1)
+        for k in range(length):
+            m = TT @ m
+            step = m.reshape(starts.shape)
+            step *= wk[k]
+            m /= ones @ m
+            wk[k] = step
+    out = np.ascontiguousarray(w.transpose(0, 3, 1, 2)).reshape(batch, chunks * length, d)
+    out = out[:, :steps]
+    if not np.all(np.isfinite(out[:, -1])):
         raise DegenerateWeight("filter mass vanished; refine dt for this kappa")
     return out
 
@@ -129,10 +193,13 @@ def _filter_increments(
 ) -> np.ndarray:
     """Filter a (batch, steps, n) block of increments from states mu to (batch, steps, d)."""
     state_part, shared = _log_weights(inc, model.h, kappa, dt)
-    top = state_part.max(axis=2, keepdims=True)
-    if np.any(top[..., 0] + shared < LOG_TINY):
+    # Column-wise maximum: numpy's max over a short last axis is ~50x slower.
+    top = functools.reduce(np.maximum, np.moveaxis(state_part, 2, 0))
+    if np.any(top + shared < LOG_TINY):
         raise DegenerateWeight("all likelihood weights underflowed; dt too large for this kappa")
-    return _filter_block(mu, T_dt, np.exp(state_part - top))
+    # The shifted weights overwrite the log-weights: one block-sized array fewer.
+    state_part -= top[..., None]
+    return _filter_block(mu, T_dt, np.exp(state_part, out=state_part))
 
 
 def run_filter(
@@ -253,9 +320,9 @@ def estimate_stationary_error(
     if burn_steps >= steps:
         raise ValueError(f"horizon {horizon} leaves no samples after burn-in {burn_in}")
     if steps > STEP_BUDGET:
-        warnings.warn(
-            f"{steps} grid steps exceed the step budget; consider a larger dt",
-            stacklevel=2,
+        raise ValueError(
+            f"dt {dt:g} needs {steps} grid steps per trial, over the budget of {STEP_BUDGET}; "
+            "use a larger dt or a shorter horizon"
         )
 
     chunks = [np.arange(s, min(s + CHUNK_TRIALS, trials)) for s in range(0, trials, CHUNK_TRIALS)]

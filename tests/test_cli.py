@@ -260,6 +260,17 @@ class TestErrors:
         assert "usage error" in err and flag in err
         assert out == ""
 
+    @pytest.mark.parametrize("field, value", [("horizon", "0"), ("dt", "-1"), ("burn_in", "-5")])
+    def test_out_of_range_sim_field_names_the_field(self, capsys, tmp_path, field, value):
+        doc = json.loads(Path(TWOSTATE).read_text())
+        doc["sim"][field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "sweep", "--model", str(path), "--kappa", "0.5")
+        assert code == 1
+        assert f"sim.{field}" in err and "usage error" not in err
+        assert out == ""
+
     def test_every_error_class_has_a_documented_code(self):
         classes = {
             name for name, cls in vars(errors).items()

@@ -175,6 +175,18 @@ class TestModelInvariants:
         with pytest.raises(ModelInvariantError, match="positive"):
             parse_model_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("horizon", "0"), ("horizon", "-1"), ("dt", "0"), ("dt", -0.5), ("burn_in", "-5")],
+    )
+    def test_out_of_range_sim_field_names_the_field(self, field, value):
+        doc = dict(FINITE_DOC, sim={field: value})
+        with pytest.raises(ModelInvariantError, match=rf"^sim\.{field} must be"):
+            parse_model_dict(doc)
+
+    def test_zero_burn_in_accepted(self):
+        assert parse_model_dict(dict(FINITE_DOC, sim={"burn_in": "0"})).sim.burn_in == 0.0
+
 
 class TestFileLevelErrors:
     def test_missing_file(self, tmp_path):

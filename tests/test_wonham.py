@@ -12,6 +12,7 @@ from maxacc import (
     run_filter,
     simulate_bundle,
 )
+from maxacc import wonham
 from maxacc.errors import DegenerateWeight
 from maxacc.verdicts import UNDECIDED
 from maxacc.wonham import SimParams, auto_burn_in, auto_dt
@@ -248,6 +249,16 @@ class TestEstimator:
             with pytest.raises(ValueError, match=name):
                 estimate_stationary_error(model, np.zeros(2), 0.5, **{name: value})
 
+    def test_step_budget_is_an_error_before_simulation(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated an over-budget row")
+
+        monkeypatch.setattr(wonham, "sample_path", no_simulation)
+        steps = int(round(60.0 / wonham.DT_MIN))
+        assert steps > wonham.STEP_BUDGET
+        with pytest.raises(ValueError, match=rf"dt 1e-06 needs {steps} grid steps"):
+            estimate_stationary_error(two_state(), np.zeros(2), 0.001, horizon=60.0)
+
 
 class TestSweep:
     def test_rows_descend_and_reference_verdict(self):
@@ -275,6 +286,17 @@ class TestSweep:
         assert result.ok_rows() == []
         assert result.trend == "undecided"
         assert result.flag == UNDECIDED
+
+    def test_over_budget_row_recorded_others_filled(self):
+        """kappa 0.001 needs 60M steps at the dt floor: that row fails, the others run."""
+        model = two_state()
+        params = SimParams(trials=2, horizon=60.0, seed=12)
+        result = kappa_sweep_finite(model, np.array([0.0, 1.0]), [0.5, 0.001, 0.3], params)
+        assert [r.kappa for r in result.rows] == [0.5, 0.3, 0.001]
+        ok, over = result.rows[:2], result.rows[2]
+        assert all(r.status == "ok" and np.isfinite(r.estimate) for r in ok)
+        assert over.status.startswith("error: ValueError: dt 1e-06 needs 60000000 grid steps")
+        assert np.isnan(over.estimate)
 
     def test_csv_schema_with_failed_rows(self):
         model = two_state()
