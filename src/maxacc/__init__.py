@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import MaxaccError
 from .finite_analysis import (
-    brute_force_reconstructibility,
     check_invertibility,
     check_reconstructibility,
     finite_verdict,
@@ -54,7 +53,6 @@ from .verdicts import (
     TestFunction,
     Verdict,
     ZeroReport,
-    default_battery,
     identity_embedding,
     indicator,
 )
@@ -64,50 +62,3 @@ from .wonham import (
     kappa_sweep_finite,
     run_filter,
 )
-
-__all__ = [
-    "__version__",
-    "MaxaccError",
-    "FiniteStateModel",
-    "TrajectoryBundle",
-    "stationary_distribution",
-    "reduce_support",
-    "time_reverse",
-    "simulate_path",
-    "simulate_observations",
-    "simulate_bundle",
-    "check_invertibility",
-    "check_reconstructibility",
-    "brute_force_reconstructibility",
-    "finite_verdict",
-    "run_filter",
-    "estimate_stationary_error",
-    "kappa_sweep_finite",
-    "SimParams",
-    "ParsedModelFile",
-    "SimSpec",
-    "parse_model_file",
-    "parse_model_dict",
-    "serialize_model",
-    "model_file_json",
-    "model_hash",
-    "validate_report",
-    "LinearGaussianModel",
-    "RiccatiSolution",
-    "validate_model",
-    "lyapunov_solve",
-    "transfer_eval",
-    "transmission_zeros",
-    "ks_check",
-    "detectability_gain",
-    "reduce_unstable",
-    "riccati_stationary",
-    "kappa_sweep_lg",
-    "Verdict",
-    "ZeroReport",
-    "SweepResult",
-    "TestFunction",
-    "indicator",
-    "identity_embedding",
-    "default_battery",
-]

@@ -13,6 +13,7 @@ import csv
 import datetime
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -118,8 +119,8 @@ def _parse_kappas(text: str) -> list[float]:
         kappas = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"--kappa: {exc}") from exc
-    if not kappas or any(k <= 0 for k in kappas):
-        raise _UsageError("--kappa needs a comma-separated list of positive numbers")
+    if not kappas or not all(0 < k < math.inf for k in kappas):
+        raise _UsageError("--kappa needs a comma-separated list of positive finite numbers")
     return kappas
 
 
@@ -160,6 +161,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         kappas = DEFAULT_KAPPAS_FINITE if parsed.kind == "finite" else DEFAULT_KAPPAS_LG
     seed = _first_set(args.seed, sim.seed, 0)
+    if seed < 0:
+        raise _UsageError(f"--seed must be nonnegative, got {seed}")
 
     if parsed.kind == "finite":
         model = parsed.model
@@ -174,10 +177,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if params.trials < 1:
             raise _UsageError(f"--trials must be at least 1, got {params.trials}")
         for flag, value in (("--horizon", params.horizon), ("--dt", params.dt)):
-            if value is not None and value <= 0:
-                raise _UsageError(f"{flag} must be positive, got {value:g}")
-        if params.burn_in is not None and params.burn_in < 0:
-            raise _UsageError(f"--burn-in must be nonnegative, got {params.burn_in:g}")
+            if value is not None and not 0 < value < math.inf:
+                raise _UsageError(f"{flag} must be positive and finite, got {value:g}")
+        if params.burn_in is not None and not 0 <= params.burn_in < math.inf:
+            raise _UsageError(f"--burn-in must be nonnegative and finite, got {params.burn_in:g}")
         result = kappa_sweep_finite(model, f, kappas, params)
     else:
         for name in ("trials", "horizon", "dt", "burn_in", "f"):

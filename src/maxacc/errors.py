@@ -29,10 +29,6 @@ class ZeroSupport(MaxaccError):
     exit_code = 1
 
 
-class WordBudgetExceeded(MaxaccError):
-    """Brute-force word enumeration exceeded its configured cap."""
-
-
 class DegenerateWeight(MaxaccError):
     """All filter likelihood weights underflowed; the step size is too large for this noise level."""
 

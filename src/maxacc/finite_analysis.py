@@ -14,24 +14,20 @@ invertible and reconstructible. Both properties reduce to finite checks:
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
-from .errors import WordBudgetExceeded
 from .markov import FiniteStateModel, reduce_support, time_reverse
 from .verdicts import InvertibilityReport, ReconstructibilityReport, Verdict
 
 OBS_TIE_TOL = 1e-12     # h(i) == h(j) means max-norm difference below this
 RANK_TOL = 1e-9         # relative singular-value cutoff for span dimensions
-DEFAULT_WORD_CAP = 200_000
 
 
-def _obs_equal(h: np.ndarray, i: int, j: int, tol: float = OBS_TIE_TOL) -> bool:
-    return float(np.max(np.abs(h[i] - h[j]))) <= tol
+def _obs_equal(h: np.ndarray, i: int, j: int) -> bool:
+    return float(np.max(np.abs(h[i] - h[j]))) <= OBS_TIE_TOL
 
 
-def check_invertibility(model: FiniteStateModel, tol: float = OBS_TIE_TOL) -> InvertibilityReport:
+def check_invertibility(model: FiniteStateModel) -> InvertibilityReport:
     """Check the two graph conditions for invertibility.
 
     (1) every transition i -> j with positive rate satisfies h(i) != h(j);
@@ -49,43 +45,35 @@ def check_invertibility(model: FiniteStateModel, tol: float = OBS_TIE_TOL) -> In
     for i in range(d):
         targets = [j for j in range(d) if j != i and L[i, j] > 0]
         for j in targets:
-            if _obs_equal(h, i, j, tol):
+            if _obs_equal(h, i, j):
                 violations.append(("pair", i, j))
         for a in range(len(targets)):
             for b in range(a + 1, len(targets)):
                 j, k = targets[a], targets[b]
-                if _obs_equal(h, j, k, tol):
+                if _obs_equal(h, j, k):
                     violations.append(("triple", i, j, k))
     for i in range(d):
         for j in range(i + 1, d):
             gap = float(np.max(np.abs(h[i] - h[j])))
-            if tol < gap <= 1e-6:
+            if OBS_TIE_TOL < gap <= 1e-6:
                 notes.append(
                     f"h({i}) and h({j}) differ by {gap:.3e}; treated as distinct"
                 )
     return InvertibilityReport(ok=not violations, violations=violations, notes=notes)
 
 
-def _closure_operators(model: FiniteStateModel) -> list[np.ndarray]:
-    """Time-reversed generator plus one diagonal operator per observation column."""
-    ops = [time_reverse(model)]
-    for col in range(model.n):
-        ops.append(np.diag(model.h[:, col]))
-    return ops
-
-
-def check_reconstructibility(
-    model: FiniteStateModel, rank_tol: float = RANK_TOL
-) -> ReconstructibilityReport:
+def check_reconstructibility(model: FiniteStateModel) -> ReconstructibilityReport:
     """Dimension of the smallest invariant subspace containing the ones vector.
 
     Maintains an orthonormal basis, repeatedly applies every operator to every
     basis vector, and keeps components whose residual survives orthogonal
     projection. Each round either grows the dimension or stops, so at most d
-    rounds run. Reconstructible iff the dimension reaches d.
+    rounds run. Reconstructible iff the dimension reaches d. The operators are
+    the time-reversed generator and one diagonal operator per observation
+    column.
     """
     d = model.d
-    ops = _closure_operators(model)
+    ops = [time_reverse(model)] + [np.diag(model.h[:, col]) for col in range(model.n)]
     scale = max(float(np.max(np.abs(op))) for op in ops)
     scale = max(scale, 1.0)
     basis = np.ones((d, 1)) / np.sqrt(d)
@@ -98,7 +86,7 @@ def check_reconstructibility(
                 # Two projection passes keep the basis orthonormal to round-off.
                 r = v - basis @ (basis.T @ v)
                 r = r - basis @ (basis.T @ r)
-                if np.linalg.norm(r) > rank_tol * scale:
+                if np.linalg.norm(r) > RANK_TOL * scale:
                     basis = np.hstack([basis, (r / np.linalg.norm(r))[:, None]])
                     grew = True
                     if basis.shape[1] == d:
@@ -113,43 +101,6 @@ def check_reconstructibility(
             "per observation coordinate"
         )
     return ReconstructibilityReport(ok=dim == d, dim=dim, basis=basis, notes=notes)
-
-
-def brute_force_reconstructibility(
-    model: FiniteStateModel,
-    max_len: int | None = None,
-    word_cap: int = DEFAULT_WORD_CAP,
-    rank_tol: float = RANK_TOL,
-) -> dict:
-    """Reference span dimension by explicit word enumeration.
-
-    Applies every word over the operator alphabet of length <= max_len to the
-    ones vector and returns the numerical rank of the collected vectors. Exact
-    for max_len >= d because the invariant-subspace chain stabilizes within d
-    steps. Exponential in max_len; intended as a cross-check oracle for small
-    models only.
-    """
-    d = model.d
-    if max_len is None:
-        max_len = d
-    ops = _closure_operators(model)
-    total = sum(len(ops) ** k for k in range(1, max_len + 1))
-    if total > word_cap:
-        raise WordBudgetExceeded(
-            f"{total} words of length <= {max_len} exceeds cap {word_cap}"
-        )
-    ones = np.ones(d)
-    vectors = [ones]
-    for k in range(1, max_len + 1):
-        for word in product(range(len(ops)), repeat=k):
-            v = ones
-            for idx in reversed(word):
-                v = ops[idx] @ v
-            vectors.append(v)
-    stack = np.column_stack(vectors)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    top = svals[0] if svals[0] > 0 else 1.0
-    return {"dim": int(np.sum(svals > rank_tol * top)), "words": total + 1}
 
 
 def finite_verdict(model: FiniteStateModel) -> Verdict:

@@ -44,8 +44,6 @@ from .verdicts import (
     Verdict,
     Zero,
     ZeroReport,
-    classify_trend,
-    consistency_flag,
 )
 
 RANK_TOL = 1e-9             # relative singular-value cutoff for rank decisions
@@ -55,13 +53,18 @@ CERT_REJECT = 1e-5          # sigma_min / scale above this rejects a candidate
 SHIFT_TOL = 1e-10           # relative distance to an eigenvalue that blocks evaluation
 RICCATI_RESIDUAL = 1e-8     # relative residual bound on the stationary equation
 PSD_TOL = 1e-10
+COMPRESSION_SEED = 0x5EED   # seeds the random row compressions of tall systems
 
 
-def _rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
-    s = np.linalg.svd(M, compute_uv=False)
+def _svd_rank(s: np.ndarray) -> int:
+    """Numerical rank from singular values in descending order."""
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
+
+
+def _rank(M: np.ndarray) -> int:
+    return _svd_rank(np.linalg.svd(M, compute_uv=False))
 
 
 @dataclass
@@ -192,46 +195,28 @@ def transfer_eval(model: LinearGaussianModel, lam: complex) -> np.ndarray:
     return H @ X
 
 
-def _reference_scale(model: LinearGaussianModel) -> tuple[float, int]:
-    """Characteristic transfer-matrix size and generic column rank.
+def _probe_scale(model: LinearGaussianModel, radius: float) -> tuple[float, int]:
+    """Generic transfer-matrix size and column rank on the circle |lambda| = radius.
 
-    Sampled at reference points outside the spectral disc of A, where G is
-    regular. The certification threshold for zeros is relative to this scale:
-    at a zero of a single-output system the largest singular value vanishes
-    together with the smallest, so the scale cannot be read off the zero
-    itself.
+    Sampled at probe points where G is regular. Zeros are certified relative
+    to this scale: at a zero of a single-output system the largest singular
+    value vanishes together with the smallest, so the scale cannot be read
+    off the zero itself. A strictly proper G decays like 1/|lambda|, so a far
+    pencil candidate is certified against the scale at its own radius, or any
+    numerically infinite generalized eigenvalue would pass.
     """
-    rho = float(np.max(np.abs(np.linalg.eigvals(model.A))))
-    r = 2.0 * (1.0 + rho)
     scale = 0.0
     rank = 0
-    for ref in _probe_points(r):
-        G = transfer_eval(model, ref)
-        s = np.linalg.svd(G, compute_uv=False)
+    for ref in _probe_points(radius):
+        s = np.linalg.svd(transfer_eval(model, ref), compute_uv=False)
         if s.size and s[0] > scale:
             scale = float(s[0])
-        rank = max(rank, _rank(G))
+        rank = max(rank, _svd_rank(s))
     return max(scale, 1e-300), rank
 
 
 def _probe_points(radius: float) -> list[complex]:
     return [radius + 0j, radius * 1j, radius * (0.6 + 0.8j), 0.5 * radius * (1 + 1j)]
-
-
-def _scale_at_radius(model: LinearGaussianModel, radius: float) -> float:
-    """Generic transfer size on the circle |lambda| = radius.
-
-    A strictly proper G decays like 1/|lambda|, so certifying a far pencil
-    candidate against the scale at the reference radius would accept any
-    numerically infinite generalized eigenvalue. Probing at the candidate's
-    own radius keeps the accept/reject margins meaningful there.
-    """
-    scale = 0.0
-    for ref in _probe_points(radius):
-        s = np.linalg.svd(transfer_eval(model, ref), compute_uv=False)
-        if s.size and s[0] > scale:
-            scale = float(s[0])
-    return max(scale, 1e-300)
 
 
 def _classify(lam: complex) -> str:
@@ -271,7 +256,7 @@ def _cluster(candidates: np.ndarray, tol: float) -> list[tuple[complex, int]]:
     return [(complex(np.mean(g)), len(g)) for g in clusters]
 
 
-def transmission_zeros(model: LinearGaussianModel, seed: int = 0x5EED) -> ZeroReport:
+def transmission_zeros(model: LinearGaussianModel) -> ZeroReport:
     """Locate and certify the zeros of G(lam) = H (lam I - A)^{-1} D.
 
     Requires a stable A (reduce unstable models first; the verdict is
@@ -282,18 +267,21 @@ def transmission_zeros(model: LinearGaussianModel, seed: int = 0x5EED) -> ZeroRe
     * square (m == n): finite generalized eigenvalues of the system pencil,
       each certified by the smallest singular value of G there.
     * tall (m < n): candidates from two independently drawn random row
-      compressions M H (m x p each); every candidate is certified or
-      rejected directly on the full system, which guards against an unlucky
-      draw.
+      compressions M H (m x p each, drawn from COMPRESSION_SEED); every
+      candidate is certified or rejected directly on the full system, which
+      guards against an unlucky draw.
 
-    Certification is relative to the transfer scale at reference points:
-    sigma_min below CERT_ACCEPT * scale certifies, above CERT_REJECT * scale
-    rejects, and the band in between raises IllConditionedPencil rather than
-    guessing.
+    Certification is relative to the transfer scale on a reference circle
+    outside the spectral disc of A: sigma_min below CERT_ACCEPT * scale
+    certifies, above CERT_REJECT * scale rejects, and the band in between
+    raises IllConditionedPencil rather than guessing.
     """
-    if not is_stable(model.A):
+    eigs = np.linalg.eigvals(model.A)
+    if not np.max(eigs.real) < 0:
         raise NotStable("transmission_zeros needs a stable A; apply reduce_unstable first")
-    scale, normal_rank = _reference_scale(model)
+    rho = float(np.max(np.abs(eigs)))
+    ref_radius = 2.0 * (1.0 + rho)
+    scale, normal_rank = _probe_scale(model, ref_radius)
     if model.m > model.n:
         return ZeroReport(
             zeros=[],
@@ -318,7 +306,7 @@ def transmission_zeros(model: LinearGaussianModel, seed: int = 0x5EED) -> ZeroRe
         candidates = _pencil_candidates(model.A, model.D, model.H)
         notes = []
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(COMPRESSION_SEED)
         pools = []
         for _ in range(2):
             M = rng.standard_normal((model.m, model.n))
@@ -326,9 +314,7 @@ def transmission_zeros(model: LinearGaussianModel, seed: int = 0x5EED) -> ZeroRe
         candidates = np.concatenate(pools) if pools else np.array([])
         notes = ["tall system: candidates from two random row compressions"]
 
-    eigs = np.linalg.eigvals(model.A)
-    eig_scale = max(1.0, float(np.max(np.abs(eigs))))
-    ref_radius = 2.0 * (1.0 + float(np.max(np.abs(eigs))))
+    eig_scale = max(1.0, rho)
     zeros: list[Zero] = []
     for center, mult in _cluster(candidates, 1e-7):
         if np.min(np.abs(eigs - center)) <= 1e-8 * eig_scale:
@@ -341,7 +327,7 @@ def transmission_zeros(model: LinearGaussianModel, seed: int = 0x5EED) -> ZeroRe
         # Beyond the reference circle G has already decayed, so the margins
         # must follow it; otherwise near-infinite pencil eigenvalues, where
         # sigma_min is trivially tiny, would be certified as zeros.
-        local = scale if abs(center) <= ref_radius else _scale_at_radius(model, abs(center))
+        local = scale if abs(center) <= ref_radius else _probe_scale(model, abs(center))[0]
         if sigma_min < CERT_ACCEPT * local:
             zeros.append(Zero(center, _classify(center), sigma_min, mult))
         elif sigma_min <= CERT_REJECT * local:
@@ -594,11 +580,4 @@ def kappa_sweep_lg(model: LinearGaussianModel, kappas: list[float]) -> SweepResu
     else:
         ok = [r for r in rows if r.status == "ok"]
         base = ok[0].estimate if ok else float("nan")
-    trend = classify_trend(rows, base)
-    return SweepResult(
-        rows=rows,
-        verdict_reference=verdict,
-        base_variance=base,
-        trend=trend,
-        flag=consistency_flag(trend, verdict.maximal_accuracy),
-    )
+    return SweepResult.of(rows, verdict, base)

@@ -22,7 +22,7 @@ NULLITY_TOL = 1e-10     # singular-value cutoff for stationary-law uniqueness
 SUPPORT_TOL = 1e-12     # pi entries below this are treated as transient mass
 
 
-def validate_rate_matrix(Lambda: np.ndarray, tol: float = RATE_TOL) -> np.ndarray:
+def validate_rate_matrix(Lambda: np.ndarray) -> np.ndarray:
     """Check that Lambda is a square generator matrix and return it as float."""
     L = np.asarray(Lambda, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -30,12 +30,12 @@ def validate_rate_matrix(Lambda: np.ndarray, tol: float = RATE_TOL) -> np.ndarra
     if not np.all(np.isfinite(L)):
         raise NotRateMatrix("generator has non-finite entries")
     off = L - np.diag(np.diag(L))
-    if np.min(off) < -tol:
+    if np.min(off) < -RATE_TOL:
         i, j = np.unravel_index(np.argmin(off), L.shape)
         raise NotRateMatrix(f"negative off-diagonal rate at ({i}, {j}): {L[i, j]}")
     rowsum = L.sum(axis=1)
     scale = max(1.0, float(np.max(np.abs(L))))
-    if np.max(np.abs(rowsum)) > tol * scale:
+    if np.max(np.abs(rowsum)) > RATE_TOL * scale:
         i = int(np.argmax(np.abs(rowsum)))
         raise NotRateMatrix(f"row {i} sums to {rowsum[i]}, expected 0")
     return L
@@ -113,14 +113,14 @@ class FiniteStateModel:
         return float(self.pi @ (f - mean) ** 2)
 
 
-def reduce_support(model: FiniteStateModel, tol: float = SUPPORT_TOL) -> FiniteStateModel:
-    """Restrict the model to {i : pi_i > tol}, dropping transient states.
+def reduce_support(model: FiniteStateModel) -> FiniteStateModel:
+    """Restrict the model to {i : pi_i > SUPPORT_TOL}, dropping transient states.
 
     Returns the model unchanged when every state carries mass. The restricted
     generator is re-validated: leaving the support has probability zero under
     pi, so restricted rows still sum to zero up to round-off.
     """
-    keep = model.pi > tol
+    keep = model.pi > SUPPORT_TOL
     if not np.any(keep):
         raise EmptySupport("support reduction removed every state")
     if np.all(keep):

@@ -59,11 +59,6 @@ def identity_embedding(d: int) -> TestFunction:
     return TestFunction(np.arange(d, dtype=float), name="identity")
 
 
-def default_battery(d: int) -> list[TestFunction]:
-    """Coordinate indicators plus the identity embedding."""
-    return [indicator(i, d) for i in range(d)] + [identity_embedding(d)]
-
-
 @dataclass
 class InvertibilityReport:
     ok: bool
@@ -187,6 +182,12 @@ class SweepResult:
     base_variance: float
     trend: str = "undecided"    # "decays" | "plateau" | "undecided"
     flag: str = UNDECIDED
+
+    @classmethod
+    def of(cls, rows: list[SweepRow], verdict: Verdict, base: float) -> SweepResult:
+        """Classify the rows' trend and flag it against the verdict."""
+        trend = classify_trend(rows, base)
+        return cls(rows, verdict, base, trend, consistency_flag(trend, verdict.maximal_accuracy))
 
     def ok_rows(self) -> list[SweepRow]:
         return [r for r in self.rows if r.status == "ok"]

@@ -27,7 +27,7 @@ from scipy.linalg import expm
 from .errors import DegenerateWeight
 from .finite_analysis import finite_verdict
 from .markov import FiniteStateModel, integrated_observation, sample_path, state_at, trial_rngs
-from .verdicts import SweepResult, SweepRow, TestFunction, classify_trend, consistency_flag
+from .verdicts import SweepResult, SweepRow, TestFunction
 
 BLOCK_STEPS = 16384         # grid steps precomputed per vectorized block
 CHUNK_TRIALS = 64           # trials per work item; fixed so results never depend on pool size
@@ -207,13 +207,12 @@ def run_filter(
     obs_increments: np.ndarray,
     kappa: float,
     dt: float,
-    mu0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run the discretized optimal filter along one observation record.
 
-    Returns the (steps + 1, d) path of filter states starting from mu0
-    (default: the stationary law). Raises DegenerateWeight when the filter
-    degenerates, which signals that dt is too large for this kappa.
+    Returns the (steps + 1, d) path of filter states starting from the
+    stationary law. Raises DegenerateWeight when the filter degenerates,
+    which signals that dt is too large for this kappa.
     """
     if kappa <= 0:
         raise ValueError("run_filter needs kappa > 0")
@@ -222,7 +221,7 @@ def run_filter(
         inc = inc[:, None]
     if inc.shape[1] != model.n:
         raise ValueError(f"observation increments have {inc.shape[1]} coordinates, model has {model.n}")
-    mu = np.asarray(model.pi if mu0 is None else mu0, dtype=float)[None, :].copy()
+    mu = model.pi[None, :].copy()
     T_dt = _transition(model, dt)
     steps = inc.shape[0]
     path = np.empty((steps + 1, model.d))
@@ -303,18 +302,21 @@ def estimate_stationary_error(
     fvals = f.values if isinstance(f, TestFunction) else np.asarray(f, dtype=float)
     if fvals.shape != (model.d,):
         raise ValueError(f"test function needs {model.d} values, got shape {fvals.shape}")
-    if kappa <= 0:
-        raise ValueError("estimate_stationary_error needs kappa > 0")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     if dt is None:
         dt = auto_dt(model, kappa)
     if burn_in is None:
         burn_in = auto_burn_in(model)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
+    for name, value in (("horizon", horizon), ("dt", dt)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not 0 <= burn_in < math.inf:
+        raise ValueError(f"burn_in must be nonnegative and finite, got {burn_in}")
     steps = int(round(horizon / dt))
     burn_steps = int(np.floor(burn_in / dt + 1e-9))
     if burn_steps >= steps:
@@ -390,11 +392,4 @@ def kappa_sweep_finite(
         except (DegenerateWeight, ValueError) as exc:
             row.status = f"error: {type(exc).__name__}: {exc}"
         rows.append(row)
-    trend = classify_trend(rows, base)
-    return SweepResult(
-        rows=rows,
-        verdict_reference=verdict,
-        base_variance=base,
-        trend=trend,
-        flag=consistency_flag(trend, verdict.maximal_accuracy),
-    )
+    return SweepResult.of(rows, verdict, base)

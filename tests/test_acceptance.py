@@ -17,7 +17,6 @@ from maxacc import (
     FiniteStateModel,
     LinearGaussianModel,
     TestFunction,
-    brute_force_reconstructibility,
     check_reconstructibility,
     detectability_gain,
     estimate_stationary_error,
@@ -32,6 +31,7 @@ from maxacc import (
     transmission_zeros,
 )
 from maxacc.verdicts import OPEN_RIGHT
+from oracles import brute_force_reconstructibility
 
 
 def benchmark_lg(H=(1.0, -2.0)) -> LinearGaussianModel:

@@ -32,7 +32,6 @@ EXIT_CODES = {
     "ZeroSupport": 1,
     "IllConditionedPencil": 2,
     "EmptySupport": 3,
-    "WordBudgetExceeded": 3,
     "DegenerateWeight": 3,
     "NotStable": 3,
     "SingularShift": 3,
@@ -250,7 +249,9 @@ class TestErrors:
     @pytest.mark.parametrize(
         "flag, value",
         [("--trials", "0"), ("--trials", "-3"), ("--horizon", "0"), ("--horizon", "-1"),
-         ("--dt", "0"), ("--burn-in", "-5")],
+         ("--dt", "0"), ("--burn-in", "-5"), ("--horizon", "inf"), ("--horizon", "nan"),
+         ("--burn-in", "inf"), ("--dt", "nan"), ("--kappa", "nan"), ("--kappa", "inf,0.5"),
+         ("--seed", "-1")],
     )
     def test_out_of_range_simulation_flag_is_usage_error(self, capsys, flag, value):
         code, out, err = run(

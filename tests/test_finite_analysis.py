@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from conftest import random_finite_model
 from maxacc import (
     FiniteStateModel,
-    brute_force_reconstructibility,
     check_invertibility,
     check_reconstructibility,
     finite_verdict,
 )
-from maxacc.errors import WordBudgetExceeded
+from oracles import WordBudgetExceeded, brute_force_reconstructibility
 
 SYM2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
 CYCLE3 = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])

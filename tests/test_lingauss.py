@@ -454,6 +454,18 @@ class TestLgSweep:
         last = result.rows[-1]
         assert 1.5 < last.estimate / last.kappa < 2.5
 
+    def test_failing_row_stays_in_its_row(self, monkeypatch):
+        def fail_at(model, kappa, warm=None):
+            if kappa == 0.01:
+                raise np.linalg.LinAlgError("singular at kappa 0.01")
+            return riccati_stationary(model, kappa, warm=warm)
+
+        monkeypatch.setattr("maxacc.lingauss.riccati_stationary", fail_at)
+        result = kappa_sweep_lg(benchmark(), [0.1, 0.01, 0.001])
+        status = {r.kappa: r.status for r in result.rows}
+        assert status[0.01].startswith("error: LinAlgError")
+        assert status[0.1] == status[0.001] == "ok"
+
     def test_csv_has_empty_simulation_columns(self):
         result = kappa_sweep_lg(benchmark(), [0.1, 0.01])
         for line in result.to_csv().splitlines()[1:]:

@@ -245,9 +245,16 @@ class TestEstimator:
             estimate_stationary_error(
                 model, np.zeros(2), 0.5, horizon=10.0, burn_in=20.0
             )
-        for name, value in (("trials", 0), ("trials", -3), ("dt", 0.0), ("burn_in", -1.0)):
+        for name, value in (
+            ("trials", 0), ("trials", -3), ("dt", 0.0), ("burn_in", -1.0),
+            ("horizon", np.inf), ("horizon", np.nan), ("dt", np.nan),
+            ("burn_in", np.inf), ("seed", -1),
+        ):
             with pytest.raises(ValueError, match=name):
                 estimate_stationary_error(model, np.zeros(2), 0.5, **{name: value})
+        for kappa in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="kappa"):
+                estimate_stationary_error(model, np.zeros(2), kappa)
 
     def test_step_budget_is_an_error_before_simulation(self, monkeypatch):
         def no_simulation(*args, **kwargs):
