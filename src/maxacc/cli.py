@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import math
@@ -183,7 +184,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise _UsageError(f"--burn-in must be nonnegative and finite, got {params.burn_in:g}")
         result = kappa_sweep_finite(model, f, kappas, params)
     else:
-        for name in ("trials", "horizon", "dt", "burn_in", "f"):
+        for name in ("trials", "horizon", "dt", "burn_in", "seed", "f"):
             if getattr(args, name) is not None:
                 print(f"note: --{name.replace('_', '-')} ignored for linear_gaussian sweeps", file=sys.stderr)
         result = kappa_sweep_lg(parsed.model, kappas)
@@ -236,7 +237,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process; parse_args never changes it."""
     parser = _Parser(prog="maxacc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

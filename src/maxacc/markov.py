@@ -11,6 +11,7 @@ one row per state; scalar observations are accepted as a flat d-vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,8 +195,8 @@ def simulate_path(
     seed: int | np.random.Generator = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the stationary signal: initial state from pi, then exact jumps."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:  # NaN or inf would draw jumps forever
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     x0 = int(rng.choice(model.d, p=model.pi))
     return sample_path(model.Lambda, x0, horizon, rng)

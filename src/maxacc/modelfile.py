@@ -9,6 +9,7 @@ sweep defaults that command-line flags can override.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -115,6 +116,24 @@ REPORT_SCHEMA: dict = {
 }
 
 
+@functools.cache
+def _validator(name: str):
+    """Validator for MODEL_FILE_SCHEMA ("model") or REPORT_SCHEMA ("report").
+
+    Built on first use and kept for the process, so the schema is checked
+    against its draft's metaschema once rather than once per document.
+    """
+    schema = {"model": MODEL_FILE_SCHEMA, "report": REPORT_SCHEMA}[name]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _schema_error(name: str, doc: dict):
+    """The error jsonschema.validate(doc, schema) would raise, or None."""
+    return jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
+
+
 @dataclass
 class SimSpec:
     """Sweep defaults from a model file; every field may be absent."""
@@ -138,7 +157,10 @@ def _to_float(node, path: str) -> float:
     if isinstance(node, bool):
         raise SchemaError(f"{path}: boolean is not a number")
     if isinstance(node, (int, float)):
-        value = float(node)
+        try:
+            value = float(node)
+        except OverflowError as exc:  # an integer literal beyond the double range
+            raise SchemaError(f"{path}: integer too large for a double") from exc
     elif isinstance(node, str):
         try:
             value = float(node)
@@ -163,10 +185,9 @@ def _to_matrix(node: list, path: str) -> np.ndarray:
 
 def parse_model_dict(doc: dict) -> ParsedModelFile:
     """Validate a decoded model document and build the model it describes."""
-    try:
-        jsonschema.validate(doc, MODEL_FILE_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"{exc.json_path}: {exc.message}") from exc
+    error = _schema_error("model", doc)
+    if error is not None:
+        raise SchemaError(f"{error.json_path}: {error.message}") from error
     families = [f for f in ("finite", "linear_gaussian") if f in doc]
     if families != [doc["type"]]:
         raise SchemaError(
@@ -180,7 +201,7 @@ def parse_model_dict(doc: dict) -> ParsedModelFile:
 
 
 def _build_finite(node: dict) -> FiniteStateModel:
-    d = node["d"]
+    d = int(node["d"])  # the schema also admits integral floats such as 2.0
     L = _to_matrix(node["lambda"], "finite.lambda")
     h = _to_matrix(node["h"], "finite.h")
     if L.shape != (d, d):
@@ -308,8 +329,7 @@ def model_hash(parsed: ParsedModelFile) -> str:
 
 def validate_report(bundle: dict) -> dict:
     """Check an outgoing report bundle against the published schema."""
-    try:
-        jsonschema.validate(bundle, REPORT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"report bundle invalid at {exc.json_path}: {exc.message}") from exc
+    error = _schema_error("report", bundle)
+    if error is not None:
+        raise SchemaError(f"report bundle invalid at {error.json_path}: {error.message}") from error
     return bundle

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxacc import errors, model_hash, parse_model_file, validate_report
+from maxacc import cli, errors, model_hash, parse_model_file, validate_report
 from maxacc.cli import run_command
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -61,6 +61,16 @@ class TestAnalyze:
         assert code == 0
         bundle = json.loads(out)
         assert bundle["verdict"]["maximal_accuracy"] is False
+
+    def test_integral_float_d_accepted(self, capsys, tmp_path):
+        """JSON Schema counts 2.0 as an integer, so the builder must too."""
+        doc = json.loads(Path(TWOSTATE).read_text())
+        doc["finite"]["d"] = 2.0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "--model", str(path))
+        assert code == 0 and err == ""
+        assert json.loads(out)["model_hash"] == model_hash(parse_model_file(TWOSTATE))
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "verdict.json"
@@ -170,6 +180,24 @@ class TestSweepFinite:
         assert len(bundle["sweep"]["rows"]) == 2
         assert bundle["provenance"]["seed"] == 1  # from the sim block
 
+    def test_cached_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+        """Flags of one run_command call do not leak into the next one."""
+        doc = json.loads(Path(TWOSTATE).read_text())
+        doc["sim"] = {"kappas": ["0.5", "0.4"], "trials": 4, "horizon": "10", "seed": 2}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert cli._build_parser() is cli._build_parser()
+        bundle = tmp_path / "bundle.json"
+        run(capsys, "sweep", "--model", str(path), "--kappa", "0.6", "--trials", "3",
+            "--horizon", "5", "--seed", "5", "--f", "identity", "--json", str(bundle))
+        bundle.unlink()
+        code, second, err = run(capsys, "sweep", "--model", str(path))
+        cli._build_parser.cache_clear()
+        assert run(capsys, "sweep", "--model", str(path)) == (code, second, err)
+        rows = [line.split(",") for line in second.splitlines()[1:]]
+        assert [(r[0], r[3], r[4]) for r in rows] == [("0.5", "4", "10.0"), ("0.4", "4", "10.0")]
+        assert not bundle.exists()
+
     @pytest.mark.parametrize("spec", ["identity", "indicator:1", "0.0,1.0"])
     def test_test_function_forms(self, capsys, spec):
         code, _, _ = run(
@@ -207,6 +235,13 @@ class TestSweepLinearGaussian:
         )
         assert code == 0
         assert "--trials ignored" in err
+
+    def test_seed_noted_as_ignored(self, capsys):
+        code, plain, _ = run(capsys, "sweep", "--model", KS_EXAMPLE)
+        code_seeded, seeded, err = run(capsys, "sweep", "--model", KS_EXAMPLE, "--seed", "5")
+        assert code == code_seeded == 0
+        assert seeded == plain
+        assert err == "note: --seed ignored for linear_gaussian sweeps\n"
 
 
 class TestErrors:

@@ -189,6 +189,13 @@ class TestSamplePath:
             se = occ.std(ddof=1) / np.sqrt(batches)
             assert abs(occ.mean() - model.pi[i]) < 3.0 * se
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        """NaN or inf would never end the jump loop; both fail before sampling."""
+        model = FiniteStateModel(SYM2, [0.0, 1.0])
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_path(model, horizon, seed=0)
+
 
 class TestObservations:
     def test_noiseless_frozen_path_increments(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,8 @@ from maxacc import (
     serialize_model,
     validate_report,
 )
-from maxacc.errors import ModelInvariantError, ParseError, SchemaError
-from maxacc.modelfile import ParsedModelFile, SimSpec
+from maxacc.errors import MaxaccError, ModelInvariantError, ParseError, SchemaError
+from maxacc.modelfile import MODEL_FILE_SCHEMA, REPORT_SCHEMA, ParsedModelFile, SimSpec
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -71,6 +72,14 @@ class TestParsing:
         parsed = parse_model_dict(doc)
         assert np.array_equal(parsed.model.Lambda, [[-1.0, 1.0], [1.0, -1.0]])
 
+    def test_integral_float_d_accepted(self):
+        """JSON Schema counts 2.0 as an integer, so the builder must too."""
+        doc = json.loads(json.dumps(FINITE_DOC))
+        doc["finite"]["d"] = 2.0
+        parsed = parse_model_dict(doc)
+        assert parsed.model.d == 2
+        assert model_hash(parsed) == model_hash(parse_model_dict(FINITE_DOC))
+
     def test_missing_sim_block_gives_empty_spec(self):
         parsed = parse_model_dict(FINITE_DOC)
         assert parsed.sim == SimSpec()
@@ -118,6 +127,11 @@ class TestSchemaRejections:
         with pytest.raises(SchemaError, match="non-finite"):
             parse_model_dict(json.loads(text))
 
+    def test_integer_beyond_double_range_rejected(self):
+        text = json.dumps(FINITE_DOC).replace('"-1"', "1" + "0" * 400, 1)
+        with pytest.raises(SchemaError, match=r"^finite\.lambda\[0\]\[0\]: integer too large"):
+            parse_model_dict(json.loads(text))
+
     def test_ragged_matrix_rejected(self):
         doc = json.loads(json.dumps(FINITE_DOC))
         doc["finite"]["lambda"][1] = ["1"]
@@ -135,6 +149,157 @@ class TestSchemaRejections:
         doc["finite"]["h"] = [["0"], ["1"], ["2"]]
         with pytest.raises(SchemaError, match="rows do not match"):
             parse_model_dict(doc)
+
+
+def _changed(doc: dict, path: str, value) -> dict:
+    """Deep copy of doc with the entry at a dotted path replaced (None deletes it)."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[int(last) if isinstance(node, list) else last] = value
+    return doc
+
+
+GOOD_BUNDLE = {
+    "schema_version": 1,
+    "model_hash": "0" * 64,
+    "provenance": {"tool": "maxacc", "version": "0.1.0", "timestamp": "t", "seed": 7},
+}
+INVALID_MODEL_DOCS = [
+    {},
+    _changed(FINITE_DOC, "schema_version", 2),
+    _changed(FINITE_DOC, "type", "bogus"),
+    _changed(FINITE_DOC, "extra", 1),
+    _changed(FINITE_DOC, "finite.d", 0),
+    _changed(FINITE_DOC, "finite.d", 1.5),
+    _changed(FINITE_DOC, "finite.d", "2"),
+    _changed(FINITE_DOC, "finite.lambda.0.1", "abc"),
+    _changed(FINITE_DOC, "finite.lambda", []),
+    _changed(FINITE_DOC, "finite.h.1.0", True),
+    _changed(FINITE_DOC, "finite.h", None),
+    dict(FINITE_DOC, sim={"trials": 0}),
+    dict(FINITE_DOC, sim={"seed": -1, "kappas": []}),
+    dict(FINITE_DOC, sim={"horizon": "long"}),
+    _changed(lg_doc(), "linear_gaussian.H", None),
+    _changed(lg_doc(), "linear_gaussian.D.0", "1"),
+]
+INVALID_BUNDLES = [
+    {},
+    _changed(GOOD_BUNDLE, "provenance", None),
+    _changed(GOOD_BUNDLE, "provenance.seed", None),
+    _changed(GOOD_BUNDLE, "model_hash", "xyz"),
+    _changed(GOOD_BUNDLE, "schema_version", 0),
+    _changed(GOOD_BUNDLE, "extra", []),
+    dict(GOOD_BUNDLE, verdict={"kind": "finite", "maximal_accuracy": "yes"}),
+    dict(GOOD_BUNDLE, verdict={"kind": "other", "maximal_accuracy": True}),
+    dict(GOOD_BUNDLE, verdict={"kind": "finite", "maximal_accuracy": True, "notes": [1]}),
+    dict(GOOD_BUNDLE, lambda_tilde=[[]]),
+    dict(GOOD_BUNDLE, sweep=[]),
+]
+
+
+class TestSchemaValidators:
+    """The validators built once per process report what jsonschema.validate would."""
+
+    @pytest.mark.parametrize("schema", [MODEL_FILE_SCHEMA, REPORT_SCHEMA])
+    def test_schema_is_valid_for_its_draft(self, schema):
+        cls = jsonschema.validators.validator_for(schema)
+        assert cls is jsonschema.Draft202012Validator
+        cls.check_schema(schema)
+
+    @pytest.mark.parametrize("doc", INVALID_MODEL_DOCS)
+    def test_model_file_message_matches_validate(self, doc):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, MODEL_FILE_SCHEMA)
+        e = expected.value
+        with pytest.raises(SchemaError) as got:
+            parse_model_dict(doc)
+        assert str(got.value) == f"{e.json_path}: {e.message}"
+
+    @pytest.mark.parametrize("bundle", INVALID_BUNDLES)
+    def test_report_message_matches_validate(self, bundle):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(bundle, REPORT_SCHEMA)
+        e = expected.value
+        with pytest.raises(SchemaError) as got:
+            validate_report(bundle)
+        assert str(got.value) == f"report bundle invalid at {e.json_path}: {e.message}"
+
+
+_JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda kids: st.lists(kids, max_size=2) | st.dictionaries(st.text(max_size=4), kids, max_size=2),
+    max_leaves=4,
+)
+# Entries the schema accepts but the builders must still survive: NaN, inf,
+# huge and tiny magnitudes, integers too large for a float, decimal strings.
+_NUMBER = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.integers(-3, 3),
+    st.floats(),
+    st.sampled_from(["1", "-0.5", "2.5e3", ".5", "+1.", "1e400", "-1e-400", 10**400, 2**63]),
+)
+
+
+@st.composite
+def _model_docs(draw) -> dict:
+    """Model documents near the schema: right shapes, odd numbers, sometimes damaged."""
+
+    def matrix(rows: int, cols: int):
+        if draw(st.integers(0, 9)) == 0:
+            return draw(_JSON)
+        entry = _NUMBER if draw(st.integers(0, 4)) else st.one_of(_NUMBER, _JSON_LEAF)
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    kind = draw(st.sampled_from(["finite", "linear_gaussian"]))
+    p = draw(st.integers(1, 4))
+    if kind == "finite":
+        d = draw(st.sampled_from([p, p, float(p), p + 1, 0, -1, "2", True, None]))
+        L = matrix(p, p)
+        if draw(st.booleans()):  # a generator: nonnegative rates, rows summing to 0
+            L = draw(st.lists(st.lists(st.floats(0.0, 1e6) | st.floats(0.0), min_size=p, max_size=p),
+                              min_size=p, max_size=p))
+            for i, row in enumerate(L):
+                row[i] = -sum(row[:i] + row[i + 1:])
+        family = {"d": d, "lambda": L, "h": matrix(p, draw(st.integers(1, 2)))}
+    else:
+        m, n = draw(st.integers(1, p)), draw(st.integers(1, p))
+        family = {"A": matrix(p, p), "D": matrix(p, m), "H": matrix(n, p)}
+    doc = {"schema_version": 1, "type": kind, kind: family}
+    if draw(st.booleans()):
+        doc["sim"] = draw(st.fixed_dictionaries({}, optional={
+            "kappas": st.lists(_NUMBER, max_size=3),
+            "trials": st.one_of(st.integers(-1, 10**20), st.floats()),
+            "horizon": _NUMBER | st.none(),
+            "dt": _NUMBER | st.none(),
+            "burn_in": _NUMBER | st.none(),
+            "seed": st.one_of(st.integers(-1, 10**30), st.floats()),
+        }))
+    if draw(st.integers(0, 9)) == 0:  # damage: drop, replace or add one top-level key
+        key = draw(st.sampled_from(["schema_version", "type", "finite", "linear_gaussian", "sim", "x"]))
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_JSON)
+    return doc
+
+
+class TestParseFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_model_docs())
+    def test_parse_returns_model_or_maxacc_error(self, doc):
+        """Any document either parses or fails with a package error."""
+        try:
+            parsed = parse_model_dict(doc)
+        except MaxaccError:
+            return
+        assert parsed.kind == doc["type"]
 
 
 class TestModelInvariants:
