@@ -14,8 +14,8 @@ import datetime
 import functools
 import io
 import json
-import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +28,12 @@ from .markov import reduce_support, time_reverse
 from .modelfile import ParsedModelFile, model_hash, parse_model_file, validate_report
 from .svgreport import render_sweep_svg
 from .verdicts import CONSISTENT, TestFunction, identity_embedding, indicator
-from .wonham import SimParams, kappa_sweep_finite
+from .wonham import SimParams, check_kappa, kappa_sweep_finite
 
 DEFAULT_KAPPAS_FINITE = [0.5, 0.1, 0.02]
 DEFAULT_KAPPAS_LG = [0.1, 0.01, 0.001, 0.0001]
 EXIT_PREFIX = {1: "error:", 2: "undecided:", 3: "numerical failure:"}
+SIM_FLAGS = tuple(f.name for f in fields(SimParams))  # flags named after the SimParams fields
 
 
 class _UsageError(Exception):
@@ -83,11 +84,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
     parsed = parse_model_file(args.model)
-    if parsed.kind != "finite":
-        model = parsed.model
-    else:
+    if parsed.kind == "finite":
         print("error: zeros requires a linear_gaussian model", file=sys.stderr)
         return 1
+    model = parsed.model
     if not is_stable(model.A):
         model = reduce_unstable(model)
         print("note: unstable A reduced by output injection", file=sys.stderr)
@@ -120,9 +120,9 @@ def _parse_kappas(text: str) -> list[float]:
         kappas = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"--kappa: {exc}") from exc
-    if not kappas or not all(0 < k < math.inf for k in kappas):
+    if not kappas:
         raise _UsageError("--kappa needs a comma-separated list of positive finite numbers")
-    return kappas
+    return [check_kappa(k) for k in kappas]
 
 
 def _parse_f(spec: str, d: int) -> TestFunction:
@@ -147,44 +147,29 @@ def _parse_f(spec: str, d: int) -> TestFunction:
     return TestFunction(values, name="vector")
 
 
-def _first_set(*values):
-    """The first value that is not None (0 counts as set), else None."""
-    return next((v for v in values if v is not None), None)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     parsed = parse_model_file(args.model)
     sim = parsed.sim
-    if args.kappa:
-        kappas = _parse_kappas(args.kappa)
-    elif sim.kappas:
-        kappas = sim.kappas
-    else:
-        kappas = DEFAULT_KAPPAS_FINITE if parsed.kind == "finite" else DEFAULT_KAPPAS_LG
-    seed = _first_set(args.seed, sim.seed, 0)
-    if seed < 0:
-        raise _UsageError(f"--seed must be nonnegative, got {seed}")
+    try:
+        if args.kappa:
+            kappas = _parse_kappas(args.kappa)
+        elif sim.kappas:
+            kappas = sim.kappas
+        else:
+            kappas = DEFAULT_KAPPAS_FINITE if parsed.kind == "finite" else DEFAULT_KAPPAS_LG
+        # The sim block passed the same rules when the file was parsed, so a
+        # failure here names a flag.
+        params = sim.params(**{name: getattr(args, name) for name in SIM_FLAGS})
+    except ValueError as exc:
+        name, _, rule = str(exc).partition(" ")
+        raise _UsageError(f"--{name.replace('_', '-')} {rule}") from exc
 
     if parsed.kind == "finite":
         model = parsed.model
         f = _parse_f(args.f, model.d) if args.f else indicator(0, model.d)
-        params = SimParams(
-            trials=_first_set(args.trials, sim.trials, 32),
-            horizon=_first_set(args.horizon, sim.horizon, 200.0),
-            dt=_first_set(args.dt, sim.dt),
-            burn_in=_first_set(args.burn_in, sim.burn_in),
-            seed=seed,
-        )
-        if params.trials < 1:
-            raise _UsageError(f"--trials must be at least 1, got {params.trials}")
-        for flag, value in (("--horizon", params.horizon), ("--dt", params.dt)):
-            if value is not None and not 0 < value < math.inf:
-                raise _UsageError(f"{flag} must be positive and finite, got {value:g}")
-        if params.burn_in is not None and not 0 <= params.burn_in < math.inf:
-            raise _UsageError(f"--burn-in must be nonnegative and finite, got {params.burn_in:g}")
         result = kappa_sweep_finite(model, f, kappas, params)
     else:
-        for name in ("trials", "horizon", "dt", "burn_in", "seed", "f"):
+        for name in (*SIM_FLAGS, "f"):
             if getattr(args, name) is not None:
                 print(f"note: --{name.replace('_', '-')} ignored for linear_gaussian sweeps", file=sys.stderr)
         result = kappa_sweep_lg(parsed.model, kappas)
@@ -193,7 +178,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.json:
         bundle = _bundle(
             parsed,
-            seed=seed if parsed.kind == "finite" else None,
+            seed=params.seed if parsed.kind == "finite" else None,
             verdict=result.verdict_reference.to_dict(),
             sweep=result.to_dict(),
         )

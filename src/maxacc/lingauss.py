@@ -44,7 +44,9 @@ from .verdicts import (
     Verdict,
     Zero,
     ZeroReport,
+    row_failure,
 )
+from .wonham import check_kappa
 
 RANK_TOL = 1e-9             # relative singular-value cutoff for rank decisions
 BOUNDARY_BAND = 1e-8        # |Re lam| below this: boundary zero, does not fail the test
@@ -491,8 +493,7 @@ def riccati_stationary(
     target, warm-starting Newton at each rung. A warm start from a nearby
     kappa can be supplied directly, which is how sweeps traverse a grid.
     """
-    if kappa <= 0:
-        raise ValueError("riccati_stationary needs kappa > 0")
+    check_kappa(kappa)
     validate_model(model)
     A, H = model.A, model.H
     Q = model.D @ model.D.T
@@ -509,20 +510,24 @@ def riccati_stationary(
             raise NoStabilizingSolution(f"Riccati solution indefinite at kappa={kappa:g}")
         return RiccatiSolution(kappa=kappa, P=P)
 
+    def care(rk: float) -> np.ndarray:
+        """Direct Schur solve; LinAlgError, or ValueError when scipy's ordqz cannot reorder."""
+        P = sla.solve_continuous_are(A.T, H.T, Q, rk * np.eye(model.n))
+        return 0.5 * (P + P.T)
+
     if warm is not None:
         P = _kleinman(A, Q, H, r, warm)
         if P is not None and _riccati_residual(A, Q, H, r, P) <= RICCATI_RESIDUAL:
             return finish(P)
 
     try:
-        P = sla.solve_continuous_are(A.T, H.T, Q, r * np.eye(model.n))
-        P = 0.5 * (P + P.T)
+        P = care(r)
         refined = _kleinman(A, Q, H, r, P, iters=5)
         if refined is not None:
             P = refined
         if _riccati_residual(A, Q, H, r, P) <= RICCATI_RESIDUAL:
             return finish(P)
-    except np.linalg.LinAlgError:
+    except ValueError:
         pass
 
     # Continuation: start from an easy noise level, walk down in half-decade
@@ -533,23 +538,18 @@ def riccati_stationary(
         ladder.append(k)
         k /= np.sqrt(10.0)
     ladder.append(kappa)
-    P = None
+    try:
+        P = care(ladder[0] * ladder[0])
+    except ValueError as exc:
+        raise NoStabilizingSolution(
+            f"direct Riccati solve failed at continuation start kappa={ladder[0]:g}: {exc}"
+        ) from exc
     for k in ladder:
-        rk = k * k
+        P = _kleinman(A, Q, H, k * k, P)
         if P is None:
-            try:
-                P = sla.solve_continuous_are(A.T, H.T, Q, rk * np.eye(model.n))
-                P = 0.5 * (P + P.T)
-            except np.linalg.LinAlgError as exc:
-                raise NoStabilizingSolution(
-                    f"direct Riccati solve failed at continuation start kappa={k:g}: {exc}"
-                ) from exc
-        refined = _kleinman(A, Q, H, rk, P)
-        if refined is None:
             raise NoStabilizingSolution(
                 f"Newton continuation lost the stabilizing branch at kappa={k:g}"
             )
-        P = refined
     return finish(P)
 
 
@@ -568,12 +568,10 @@ def kappa_sweep_lg(model: LinearGaussianModel, kappas: list[float]) -> SweepResu
     P_prev: np.ndarray | None = None
     for kappa in sorted(kappas, reverse=True):
         row = SweepRow(kappa=kappa, estimate=float("nan"))
-        try:
+        with row_failure(row):
             sol = riccati_stationary(model, kappa, warm=P_prev)
             row.estimate = sol.trace
             P_prev = sol.P
-        except (NoStabilizingSolution, ValueError) as exc:
-            row.status = f"error: {type(exc).__name__}: {exc}"
         rows.append(row)
     if is_stable(model.A):
         base = float(np.trace(lyapunov_solve(model.A, model.D @ model.D.T)))

@@ -189,14 +189,20 @@ def sample_path(
     return np.asarray(times), np.asarray(states, dtype=np.intp)
 
 
+def check_positive(name: str, value: float) -> float:
+    """The rule for horizons, grid steps and noise strengths: positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value:g}")
+    return value
+
+
 def simulate_path(
     model: FiniteStateModel,
     horizon: float,
     seed: int | np.random.Generator = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the stationary signal: initial state from pi, then exact jumps."""
-    if not 0 < horizon < math.inf:  # NaN or inf would draw jumps forever
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    check_positive("horizon", horizon)  # NaN or inf would draw jumps forever
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     x0 = int(rng.choice(model.d, p=model.pi))
     return sample_path(model.Lambda, x0, horizon, rng)
@@ -245,8 +251,7 @@ def simulate_observations(
     jump times, not endpoint sampling) plus kappa * sqrt(dt) * xi with xi
     standard normal. kappa = 0 gives noiseless increments.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_positive("dt", dt)
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -292,8 +297,7 @@ def simulate_bundle(
     draw from trial_rngs(seed, 0): the bundle is the record that trial 0 of
     estimate_stationary_error(seed=seed) filters at the same dt and horizon.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_positive("dt", dt)
     horizon = round(horizon / dt) * dt
     path_rng, obs_rng = trial_rngs(seed, 0)
     jt, st = simulate_path(model, horizon, path_rng)

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .lingauss import LinearGaussianModel, validate_model
 from .markov import FiniteStateModel
+from .wonham import SimParams, check_kappa
 
 SCHEMA_VERSION = 1
 
@@ -145,6 +146,12 @@ class SimSpec:
     burn_in: float | None = None
     seed: int | None = None
 
+    def params(self, **flags) -> SimParams:
+        """SimParams from the flags that are set, then this block, then the SimParams defaults."""
+        merged = {name: value for name, value in vars(self).items() if name != "kappas"}
+        merged.update((name, value) for name, value in flags.items() if value is not None)
+        return SimParams(**{name: value for name, value in merged.items() if value is not None})
+
 
 @dataclass
 class ParsedModelFile:
@@ -153,7 +160,8 @@ class ParsedModelFile:
     sim: SimSpec
 
 
-def _to_float(node, path: str) -> float:
+def _to_float(node, path: str, finite: bool = True) -> float:
+    """Number or decimal string to float; SimParams range-checks sim values (finite=False)."""
     if isinstance(node, bool):
         raise SchemaError(f"{path}: boolean is not a number")
     if isinstance(node, (int, float)):
@@ -168,7 +176,7 @@ def _to_float(node, path: str) -> float:
             raise SchemaError(f"{path}: {node!r} is not a decimal number") from exc
     else:
         raise SchemaError(f"{path}: expected a number, got {type(node).__name__}")
-    if not math.isfinite(value):
+    if finite and not math.isfinite(value):
         raise SchemaError(f"{path}: non-finite value {node!r}")
     return value
 
@@ -197,7 +205,7 @@ def parse_model_dict(doc: dict) -> ParsedModelFile:
         model = _build_finite(doc["finite"])
     else:
         model = _build_linear_gaussian(doc["linear_gaussian"])
-    return ParsedModelFile(kind=doc["type"], model=model, sim=_build_sim(doc.get("sim")))
+    return ParsedModelFile(kind=doc["type"], model=model, sim=_build_sim(doc.get("sim", {})))
 
 
 def _build_finite(node: dict) -> FiniteStateModel:
@@ -232,29 +240,24 @@ def _build_linear_gaussian(node: dict) -> LinearGaussianModel:
     return model
 
 
-def _build_sim(node: dict | None) -> SimSpec:
-    if node is None:
-        return SimSpec()
+def _build_sim(node: dict) -> SimSpec:
+    """The sim block, checked by the SimParams and kappa rules under its sim. names."""
     spec = SimSpec()
     if "kappas" in node:
-        spec.kappas = [
-            _to_float(v, f"sim.kappas[{i}]") for i, v in enumerate(node["kappas"])
-        ]
-        if any(k <= 0 for k in spec.kappas):
-            raise ModelInvariantError("sim.kappas: noise strengths must be positive")
-    if "trials" in node:
-        spec.trials = int(node["trials"])
+        spec.kappas = [_to_float(v, f"sim.kappas[{i}]", False) for i, v in enumerate(node["kappas"])]
+    for name in ("trials", "seed"):
+        if name in node:
+            setattr(spec, name, int(node[name]))
     for name in ("horizon", "dt", "burn_in"):
         if node.get(name) is not None:
-            setattr(spec, name, _to_float(node[name], f"sim.{name}"))
-    for name in ("horizon", "dt"):
-        value = getattr(spec, name)
-        if value is not None and value <= 0:
-            raise ModelInvariantError(f"sim.{name} must be positive, got {value:g}")
-    if spec.burn_in is not None and spec.burn_in < 0:
-        raise ModelInvariantError(f"sim.burn_in must be nonnegative, got {spec.burn_in:g}")
-    if "seed" in node:
-        spec.seed = int(node["seed"])
+            setattr(spec, name, _to_float(node[name], f"sim.{name}", False))
+    try:
+        for kappa in spec.kappas or ():
+            check_kappa(kappa)
+        spec.params()
+    except ValueError as exc:
+        field, _, rule = str(exc).partition(" ")
+        raise ModelInvariantError(f"sim.{'kappas' if field == 'kappa' else field} {rule}") from exc
     return spec
 
 
@@ -298,18 +301,12 @@ def serialize_model(parsed: ParsedModelFile) -> dict:
             "D": _matrix_strings(model.D),
             "H": _matrix_strings(model.H),
         }
-    sim = parsed.sim
-    block: dict = {}
-    if sim.kappas is not None:
-        block["kappas"] = [_fmt(k) for k in sim.kappas]
-    if sim.trials is not None:
-        block["trials"] = sim.trials
+    block = {name: value for name, value in vars(parsed.sim).items() if value is not None}
+    if "kappas" in block:
+        block["kappas"] = [_fmt(k) for k in block["kappas"]]
     for name in ("horizon", "dt", "burn_in"):
-        value = getattr(sim, name)
-        if value is not None:
-            block[name] = _fmt(value)
-    if sim.seed is not None:
-        block["seed"] = sim.seed
+        if name in block:
+            block[name] = _fmt(block[name])
     if block:
         doc["sim"] = block
     return doc

@@ -9,9 +9,12 @@ decay versus plateau), so the result containers live in one place.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import DegenerateWeight, NoStabilizingSolution
 
 # Sweep flags.
 CONSISTENT = "CONSISTENT"
@@ -173,6 +176,15 @@ class SweepRow:
         if self.std_error is None:
             return EXACT_HALF_WIDTH * abs(self.estimate)
         return 1.96 * self.std_error
+
+
+@contextmanager
+def row_failure(row: SweepRow):
+    """Both sweeps' per-row rule: a numerical failure or ValueError goes into row.status."""
+    try:
+        yield
+    except (DegenerateWeight, NoStabilizingSolution, ValueError) as exc:
+        row.status = f"error: {type(exc).__name__}: {exc}"
 
 
 @dataclass

@@ -19,34 +19,63 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import DegenerateWeight
 from .finite_analysis import finite_verdict
-from .markov import FiniteStateModel, integrated_observation, sample_path, state_at, trial_rngs
-from .verdicts import SweepResult, SweepRow, TestFunction
+from .markov import (
+    FiniteStateModel, check_positive, integrated_observation, sample_path, state_at, trial_rngs,
+)
+from .verdicts import SweepResult, SweepRow, TestFunction, row_failure
 
 BLOCK_STEPS = 16384         # grid steps precomputed per vectorized block
 CHUNK_TRIALS = 64           # trials per work item; fixed so results never depend on pool size
 SCAN_MAX_BATCH_D2 = 2000    # blocks with batch * d^2 above this filter as one chunk
 LOG_TINY = -700.0           # full log-likelihood below this in every state: weights underflowed
-STEP_BUDGET = 50_000_000
+STEP_BUDGET = 50_000_000    # grid steps per trial
+TRIAL_STEP_BUDGET = 10_000_000_000  # trials * grid steps per sweep row
 DT_FACTOR = 0.5             # default step: dt = DT_FACTOR * kappa^2 ...
 DT_MIN = 1e-6               # ... but never below DT_MIN
 
 
-@dataclass
+def check_kappa(kappa: float) -> float:
+    """The one noise-strength rule: kappa is positive and finite."""
+    return check_positive("kappa", kappa)
+
+
+@dataclass(frozen=True)
 class SimParams:
-    """Knobs for the Monte-Carlo estimator; dt and burn_in None mean derive from the model."""
+    """Settings of the Monte-Carlo estimator; dt and burn_in None mean derive from the model.
+
+    Construction checks every field: a ValueError whose message starts with
+    the field name, so callers only rename the field. Whether a burn-in
+    leaves samples depends on dt, so the estimator checks that per kappa.
+    """
 
     trials: int = 32
     horizon: float = 200.0
     dt: float | None = None
     burn_in: float | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        check_positive("horizon", self.horizon)
+        if self.dt is not None:
+            check_positive("dt", self.dt)
+        if self.burn_in is not None and not 0 <= self.burn_in < math.inf:
+            raise ValueError(f"burn_in must be nonnegative and finite, got {self.burn_in:g}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
+    def resolve(self, model: FiniteStateModel, kappa: float) -> tuple[float, float]:
+        """(dt, burn_in) for one kappa: the given values, else auto_dt and auto_burn_in."""
+        dt = self.dt if self.dt is not None else auto_dt(model, kappa)
+        return dt, self.burn_in if self.burn_in is not None else auto_burn_in(model)
 
 
 def auto_dt(model: FiniteStateModel, kappa: float) -> float:
@@ -214,8 +243,7 @@ def run_filter(
     stationary law. Raises DegenerateWeight when the filter degenerates,
     which signals that dt is too large for this kappa.
     """
-    if kappa <= 0:
-        raise ValueError("run_filter needs kappa > 0")
+    check_kappa(kappa)
     inc = np.asarray(obs_increments, dtype=float)
     if inc.ndim == 1:
         inc = inc[:, None]
@@ -285,11 +313,11 @@ def estimate_stationary_error(
     model: FiniteStateModel,
     f: TestFunction | np.ndarray,
     kappa: float,
-    trials: int = 32,
-    horizon: float = 200.0,
+    trials: int = SimParams.trials,
+    horizon: float = SimParams.horizon,
     dt: float | None = None,
     burn_in: float | None = None,
-    seed: int = 0,
+    seed: int = SimParams.seed,
 ) -> tuple[float, float]:
     """Estimate e(f, kappa) with a standard error from between-trial variance.
 
@@ -297,26 +325,14 @@ def estimate_stationary_error(
     trials; the standard error is the between-trial standard deviation divided
     by sqrt(trials) (NaN for a single trial). Trials accumulate in fixed index
     order, so the result does not depend on how many workers ran them. The
-    MAXACC_THREADS environment variable caps the worker pool.
+    MAXACC_THREADS environment variable caps the worker pool. Settings obey
+    the SimParams rules; work over a budget is refused before any sampling.
     """
     fvals = f.values if isinstance(f, TestFunction) else np.asarray(f, dtype=float)
     if fvals.shape != (model.d,):
         raise ValueError(f"test function needs {model.d} values, got shape {fvals.shape}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if not 0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    if dt is None:
-        dt = auto_dt(model, kappa)
-    if burn_in is None:
-        burn_in = auto_burn_in(model)
-    for name, value in (("horizon", horizon), ("dt", dt)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if not 0 <= burn_in < math.inf:
-        raise ValueError(f"burn_in must be nonnegative and finite, got {burn_in}")
+    check_kappa(kappa)
+    dt, burn_in = SimParams(trials, horizon, dt, burn_in, seed).resolve(model, kappa)
     steps = int(round(horizon / dt))
     burn_steps = int(np.floor(burn_in / dt + 1e-9))
     if burn_steps >= steps:
@@ -326,20 +342,26 @@ def estimate_stationary_error(
             f"dt {dt:g} needs {steps} grid steps per trial, over the budget of {STEP_BUDGET}; "
             "use a larger dt or a shorter horizon"
         )
+    if trials * steps > TRIAL_STEP_BUDGET:
+        raise ValueError(
+            f"trials {trials} of {steps} grid steps need {trials * steps} trial-steps, "
+            f"over the budget of {TRIAL_STEP_BUDGET}; use fewer trials or a shorter horizon"
+        )
 
-    chunks = [np.arange(s, min(s + CHUNK_TRIALS, trials)) for s in range(0, trials, CHUNK_TRIALS)]
+    starts = range(0, trials, CHUNK_TRIALS)
     workers = os.environ.get("MAXACC_THREADS")
     max_workers = int(workers) if workers else (os.cpu_count() or 1)
-    max_workers = max(1, min(max_workers, len(chunks)))
+    max_workers = max(1, min(max_workers, len(starts)))
 
-    def work(idx: np.ndarray) -> np.ndarray:
+    def work(start: int) -> np.ndarray:
+        idx = np.arange(start, min(start + CHUNK_TRIALS, trials))
         return _chunk_trial_means(model, fvals, kappa, dt, steps, burn_steps, seed, idx)
 
-    if max_workers == 1 or len(chunks) == 1:
-        results = [work(c) for c in chunks]
+    if max_workers == 1:
+        results = [work(s) for s in starts]
     else:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(work, chunks))
+            results = list(pool.map(work, starts))
     means = np.concatenate(results)
     estimate = float(np.mean(means))
     std_error = float(np.std(means, ddof=1) / np.sqrt(trials)) if trials > 1 else float("nan")
@@ -366,30 +388,10 @@ def kappa_sweep_finite(
     base = model.variance_of(fv.values)
     rows: list[SweepRow] = []
     for kappa in sorted(kappas, reverse=True):
-        dt = params.dt if params.dt is not None else auto_dt(model, kappa)
-        burn = params.burn_in if params.burn_in is not None else auto_burn_in(model)
-        row = SweepRow(
-            kappa=kappa,
-            estimate=float("nan"),
-            std_error=None,
-            trials=params.trials,
-            horizon=params.horizon,
-            dt=dt,
-            burn_in=burn,
-        )
-        try:
-            est, se = estimate_stationary_error(
-                model,
-                fv,
-                kappa,
-                trials=params.trials,
-                horizon=params.horizon,
-                dt=dt,
-                burn_in=burn,
-                seed=params.seed,
-            )
-            row.estimate, row.std_error = est, se
-        except (DegenerateWeight, ValueError) as exc:
-            row.status = f"error: {type(exc).__name__}: {exc}"
+        dt, burn_in = params.resolve(model, kappa)
+        row = SweepRow(kappa, float("nan"), trials=params.trials, horizon=params.horizon,
+                       dt=dt, burn_in=burn_in)
+        with row_failure(row):
+            row.estimate, row.std_error = estimate_stationary_error(model, fv, kappa, **asdict(params))
         rows.append(row)
     return SweepResult.of(rows, verdict, base)

@@ -307,6 +307,17 @@ class TestErrors:
         assert f"sim.{field}" in err and "usage error" not in err
         assert out == ""
 
+    def test_trials_over_the_work_cap_fail_per_row(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--model", TWOSTATE, "--kappa", "0.5,0.4", "--horizon", "10",
+            "--trials", "1000000000000",
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        for kappa in ("0.5", "0.4"):
+            assert f"note: kappa={kappa}: error: ValueError: trials 1000000000000 " in err
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["", ""]
+
     def test_every_error_class_has_a_documented_code(self):
         classes = {
             name for name, cls in vars(errors).items()

@@ -20,8 +20,10 @@ from maxacc import (
     transmission_zeros,
     validate_model,
 )
+from maxacc import lingauss
 from maxacc.errors import (
     DimensionMismatch,
+    NoStabilizingSolution,
     NotDetectable,
     NotDetectableOrStabilizable,
     NotStable,
@@ -430,6 +432,51 @@ class TestRiccati:
     def test_kappa_must_be_positive(self):
         with pytest.raises(ValueError):
             riccati_stationary(benchmark(), 0.0)
+
+
+class TestRiccatiPaths:
+    """Models whose direct Schur solve fails in scipy's ordqz ("Reordering ... failed")."""
+
+    @pytest.mark.parametrize("seed", [29, 44, 230, 244, 269])
+    def test_reordering_failure_falls_back_to_the_ladder(self, seed):
+        model = random_stable_lg(np.random.default_rng(seed), p_max=6)
+        cold = riccati_stationary(model, 1e-6)
+        P = None
+        for kappa in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 3e-6, 1e-6):
+            P = riccati_stationary(model, kappa, warm=P).P
+        assert cold.trace == pytest.approx(float(np.trace(P)), rel=1e-7)
+
+    def test_reordering_failure_pinned_value(self):
+        model = random_stable_lg(np.random.default_rng(29), p_max=6)
+        assert riccati_stationary(model, 1e-6).trace == pytest.approx(1.8688919e-6, rel=1e-6)
+
+    def test_lost_branch_is_no_stabilizing_solution(self):
+        model = random_stable_lg(np.random.default_rng(32), p_max=6)
+        with pytest.raises(NoStabilizingSolution):
+            riccati_stationary(model, 1e-8)
+
+    def test_direct_value_error_enters_the_ladder(self, monkeypatch):
+        calls = []
+        solve = lingauss.sla.solve_continuous_are
+
+        def fail_first(*args):
+            calls.append(args[3][0, 0])
+            if len(calls) == 1:
+                raise ValueError("Reordering of (A, B) failed")
+            return solve(*args)
+
+        expected = riccati_stationary(benchmark(), 1e-3).trace
+        monkeypatch.setattr(lingauss.sla, "solve_continuous_are", fail_first)
+        assert riccati_stationary(benchmark(), 1e-3).trace == pytest.approx(expected, rel=1e-9)
+        assert calls == [1e-6, 1.0]  # the direct solve, then the ladder's first rung
+
+    def test_first_rung_value_error_is_no_stabilizing_solution(self, monkeypatch):
+        def fail(*args):
+            raise ValueError("Reordering of (A, B) failed")
+
+        monkeypatch.setattr(lingauss.sla, "solve_continuous_are", fail)
+        with pytest.raises(NoStabilizingSolution, match="continuation start kappa=1"):
+            riccati_stationary(benchmark(), 1e-3)
 
 
 class TestLgSweep:

@@ -266,6 +266,40 @@ class TestEstimator:
         with pytest.raises(ValueError, match=rf"dt 1e-06 needs {steps} grid steps"):
             estimate_stationary_error(two_state(), np.zeros(2), 0.001, horizon=60.0)
 
+    def test_total_work_cap_is_an_error_before_simulation(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated an over-budget row")
+
+        monkeypatch.setattr(wonham, "sample_path", no_simulation)
+        steps = int(round(10.0 / auto_dt(two_state(), 0.5)))
+        assert steps <= wonham.STEP_BUDGET
+        with pytest.raises(ValueError, match=rf"^trials 1000000000000 of {steps} grid steps need"):
+            estimate_stationary_error(two_state(), np.zeros(2), 0.5, trials=10**12, horizon=10.0)
+
+    def test_total_work_cap_boundary(self, monkeypatch):
+        steps = int(round(10.0 / auto_dt(two_state(), 0.5)))
+        monkeypatch.setattr(wonham, "TRIAL_STEP_BUDGET", 2 * steps)
+        est, _ = estimate_stationary_error(two_state(), np.array([0.0, 1.0]), 0.5, trials=2, horizon=10.0)
+        assert np.isfinite(est)
+        with pytest.raises(ValueError, match="^trials 3 "):
+            estimate_stationary_error(two_state(), np.array([0.0, 1.0]), 0.5, trials=3, horizon=10.0)
+
+    def test_total_work_cap_clears_every_shipped_run(self):
+        """At least 10x above gate [6]'s star rows: 96 trials of 2e6 grid steps."""
+        assert wonham.TRIAL_STEP_BUDGET >= 10 * 96 * int(round(400.0 / (wonham.DT_FACTOR * 0.02**2)))
+
+    def test_chunks_cover_the_trials_in_order(self, monkeypatch):
+        seen = []
+
+        def chunk(model, fvals, kappa, dt, steps, burn_steps, seed, idx):
+            seen.append((idx[0], len(idx)))
+            return np.zeros(len(idx))
+
+        monkeypatch.setattr(wonham, "_chunk_trial_means", chunk)
+        monkeypatch.setenv("MAXACC_THREADS", "1")
+        estimate_stationary_error(two_state(), np.zeros(2), 0.5, trials=150, horizon=1.0, burn_in=0.0)
+        assert seen == [(0, 64), (64, 64), (128, 22)]
+
 
 class TestSweep:
     def test_rows_descend_and_reference_verdict(self):
