@@ -12,6 +12,7 @@ one row per state; scalar observations are accepted as a flat d-vector.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,27 +164,30 @@ def sample_path(
     chains can be sampled from an explicit initial state.
     """
     L = np.asarray(Lambda, dtype=float)
-    d = L.shape[0]
-    exit_rates = -np.diag(L)
-    # Row-normalized jump kernels, precomputed once.
-    kernels = []
-    for i in range(d):
-        if exit_rates[i] > 0:
+    # Per state: the mean holding time and the cumulative jump kernel, built
+    # as Generator.choice(d, p=kernel) builds it, so bisecting one uniform
+    # draw picks the state choice would pick, and scale * standard_exponential
+    # is exponential(scale): the stream is the choice/exponential one.
+    means, cdfs = [], []
+    for i, rate in enumerate(-np.diag(L)):
+        if rate > 0:
             row = np.clip(L[i], 0.0, None)
             row[i] = 0.0
-            kernels.append(row / row.sum())
+            cdf = np.cumsum(row / row.sum())
+            cdfs.append((cdf / cdf[-1]).tolist())
+            means.append(float(1.0 / rate))
         else:
-            kernels.append(None)
+            cdfs.append(None)
+            means.append(None)
+    uniform, exponential = rng.random, rng.standard_exponential
     times = [0.0]
     states = [int(initial_state)]
     t, x = 0.0, int(initial_state)
-    while True:
-        if exit_rates[x] <= 0:
-            break
-        t += rng.exponential(1.0 / exit_rates[x])
+    while cdfs[x] is not None:
+        t += means[x] * exponential()
         if t >= horizon:
             break
-        x = int(rng.choice(d, p=kernels[x]))
+        x = bisect_right(cdfs[x], uniform())
         times.append(t)
         states.append(x)
     return np.asarray(times), np.asarray(states, dtype=np.intp)
@@ -226,14 +230,30 @@ def integrated_observation(
     vals = h[states]                                   # (jumps, n)
     seg = np.diff(jump_times)[:, None] * vals[:-1]     # completed segments
     prefix = np.vstack([np.zeros((1, h.shape[1])), np.cumsum(seg, axis=0)])
-    k = np.searchsorted(jump_times, at, side="right") - 1
-    return prefix[k] + vals[k] * (at - jump_times[k])[:, None]
+    take = _at_points(jump_times, at)
+    return take(prefix) + take(vals) * (at - take(jump_times))[:, None]
 
 
 def state_at(jump_times: np.ndarray, states: np.ndarray, at: np.ndarray) -> np.ndarray:
     """State of the piecewise-constant path at each time in `at`."""
-    k = np.searchsorted(jump_times, np.asarray(at, dtype=float), side="right") - 1
-    return states[k]
+    return _at_points(jump_times, np.asarray(at, dtype=float))(states)
+
+
+def _at_points(jump_times: np.ndarray, at: np.ndarray):
+    """Map from per-holding-interval arrays to their values at each time in `at`.
+
+    The time at[j] lies in the interval k = searchsorted(jump_times, at[j],
+    "right") - 1. On a sorted grid with far fewer jumps than points, each
+    jump is placed in the grid once and each interval's row repeated over
+    the points it holds, which is several times cheaper than searching for
+    every point and gathering by k; elsewhere the map gathers by k.
+    """
+    if (at.ndim == 1 and 4 * len(jump_times) <= len(at) and at[0] >= jump_times[0]
+            and np.all(at[1:] >= at[:-1])):
+        counts = np.diff(np.searchsorted(at, jump_times, side="left"), append=len(at))
+        return lambda rows: np.repeat(rows, counts, axis=0)
+    k = np.searchsorted(jump_times, at, side="right") - 1
+    return lambda rows: rows[k]
 
 
 def simulate_observations(

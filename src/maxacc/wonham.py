@@ -37,6 +37,7 @@ SCAN_MAX_BATCH_D2 = 2000    # blocks with batch * d^2 above this filter as one c
 LOG_TINY = -700.0           # full log-likelihood below this in every state: weights underflowed
 STEP_BUDGET = 50_000_000    # grid steps per trial
 TRIAL_STEP_BUDGET = 10_000_000_000  # trials * grid steps per sweep row
+MAX_TRIALS = 1_000_000     # trials per sweep row; each costs ~0.25 ms on one core whatever its grid
 DT_FACTOR = 0.5             # default step: dt = DT_FACTOR * kappa^2 ...
 DT_MIN = 1e-6               # ... but never below DT_MIN
 
@@ -208,11 +209,22 @@ def _log_weights(
     -|dY|^2 / (2 kappa^2 dt) that cancels in the normalization. The full value
     is still needed to detect underflow of every weight, so the shared term is
     returned separately.
+
+    The state part is state-major, (d, batch, steps), built one state at a
+    time: numpy is several times slower on any elementwise pass whose inner
+    axis is the short state axis, a broadcast product over it included.
     """
-    state_part = (inc @ h.T) / (kappa * kappa) - (dt * np.sum(h * h, axis=1)) / (
-        2.0 * kappa * kappa
-    )
-    shared = -np.einsum("...n,...n->...", inc, inc) / (2.0 * kappa * kappa * dt)
+    kk = kappa * kappa
+    offset = (dt * np.sum(h * h, axis=1)) / (2.0 * kk)
+    state_part = np.empty((h.shape[0],) + inc.shape[:-1])
+    for i, row in enumerate(state_part):
+        if h.shape[1] == 1:  # several times cheaper than a one-term matmul
+            np.multiply(inc[..., 0], h[i, 0], out=row)
+        else:
+            np.matmul(inc, h[i], out=row)
+        row /= kk
+        row -= offset[i]
+    shared = -np.einsum("...n,...n->...", inc, inc) / (2.0 * kk * dt)
     return state_part, shared
 
 
@@ -222,13 +234,13 @@ def _filter_increments(
 ) -> np.ndarray:
     """Filter a (batch, steps, n) block of increments from states mu to (batch, steps, d)."""
     state_part, shared = _log_weights(inc, model.h, kappa, dt)
-    # Column-wise maximum: numpy's max over a short last axis is ~50x slower.
-    top = functools.reduce(np.maximum, np.moveaxis(state_part, 2, 0))
+    top = functools.reduce(np.maximum, state_part)
     if np.any(top + shared < LOG_TINY):
         raise DegenerateWeight("all likelihood weights underflowed; dt too large for this kappa")
     # The shifted weights overwrite the log-weights: one block-sized array fewer.
-    state_part -= top[..., None]
-    return _filter_block(mu, T_dt, np.exp(state_part, out=state_part))
+    state_part -= top
+    weights = np.exp(state_part, out=state_part)
+    return _filter_block(mu, T_dt, np.moveaxis(weights, 0, -1))
 
 
 def run_filter(
@@ -290,16 +302,18 @@ def _chunk_trial_means(
     T_dt = _transition(model, dt)
     mu = np.tile(model.pi, (batch, 1))
     err_sum = np.zeros(batch)
-    sqrt_dt = np.sqrt(dt)
+    noise_scale = kappa * np.sqrt(dt)
     for start in range(0, steps, BLOCK_STEPS):
         blk = min(BLOCK_STEPS, steps - start)
         times = (start + np.arange(blk + 1)) * dt
         inc = np.empty((batch, blk, model.n))
         fX = np.empty((batch, blk))
         for b, (jt, st) in enumerate(paths):
-            drift = np.diff(integrated_observation(jt, st, model.h, times), axis=0)
-            inc[b] = drift + kappa * sqrt_dt * obs_rngs[b].standard_normal((blk, model.n))
-            fX[b] = fvals[state_at(jt, st, times[1:])]
+            # The draws of standard_normal((blk, n)), without a temporary array.
+            obs_rngs[b].standard_normal(out=inc[b])
+            inc[b] *= noise_scale
+            inc[b] += np.diff(integrated_observation(jt, st, model.h, times), axis=0)
+            fX[b] = state_at(jt, fvals[st], times[1:])  # f(X) is a path with X's jumps
         out = _filter_increments(model, mu, T_dt, inc, kappa, dt)
         mu = out[:, -1, :].copy()
         first = max(burn_steps - start, 0)
@@ -346,6 +360,11 @@ def estimate_stationary_error(
         raise ValueError(
             f"trials {trials} of {steps} grid steps need {trials * steps} trial-steps, "
             f"over the budget of {TRIAL_STEP_BUDGET}; use fewer trials or a shorter horizon"
+        )
+    if trials > MAX_TRIALS:
+        raise ValueError(
+            f"trials {trials} over the cap of {MAX_TRIALS} per row: each trial costs "
+            "path sampling and RNG setup whatever its grid; use fewer trials"
         )
 
     starts = range(0, trials, CHUNK_TRIALS)

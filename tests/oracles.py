@@ -54,3 +54,39 @@ def brute_force_reconstructibility(
     svals = np.linalg.svd(stack, compute_uv=False)
     top = svals[0] if svals[0] > 0 else 1.0
     return {"dim": int(np.sum(svals > RANK_TOL * top)), "words": total + 1}
+
+
+def choice_sample_path(
+    Lambda: np.ndarray,
+    initial_state: int,
+    horizon: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference exact-jump sampler: exponential holding times, rng.choice jumps.
+
+    The straightforward form of maxacc.markov.sample_path, which must draw
+    the same stream: every (times, states) pair and the generator state
+    afterwards agree.
+    """
+    L = np.asarray(Lambda, dtype=float)
+    d = L.shape[0]
+    exit_rates = -np.diag(L)
+    kernels = []
+    for i in range(d):
+        if exit_rates[i] > 0:
+            row = np.clip(L[i], 0.0, None)
+            row[i] = 0.0
+            kernels.append(row / row.sum())
+        else:
+            kernels.append(None)
+    times = [0.0]
+    states = [int(initial_state)]
+    t, x = 0.0, int(initial_state)
+    while exit_rates[x] > 0:
+        t += rng.exponential(1.0 / exit_rates[x])
+        if t >= horizon:
+            break
+        x = int(rng.choice(d, p=kernels[x]))
+        times.append(t)
+        states.append(x)
+    return np.asarray(times), np.asarray(states, dtype=np.intp)

@@ -2,7 +2,8 @@
 
 bench/spans.py patches maxacc functions by module attribute; a renamed or
 deleted name would only surface in the next traced benchmark run, so the
-install/restore round trip is checked here.
+install/restore round trip is checked here, and so is a traced estimate that
+must pass through every finite-family layer.
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ from __future__ import annotations
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from maxacc import FiniteStateModel, wonham
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -30,3 +35,38 @@ def test_tracer_installs_and_restores():
         tracer.restore()
     for (module, attr), original in before.items():
         assert getattr(importlib.import_module(module), attr) is original
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PY)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_finite_family_spans_fire():
+    """One small estimate records every finite-family layer and every trial-step.
+
+    A refactor that stops calling a wrapped name would read 0 in that
+    layer's benchmark metric; here it fails instead.
+    """
+    spans = load_spans()
+    model = FiniteStateModel([[-1.0, 1.0], [1.0, -1.0]], [0.0, 1.0])
+    trials, kappa, horizon = 3, 0.05, 25.0
+    steps = int(round(horizon / wonham.auto_dt(model, kappa)))
+    assert steps > wonham.BLOCK_STEPS
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        with tracer.span(spans.ROOT_SPAN):
+            wonham.estimate_stationary_error(
+                model, np.array([0.0, 1.0]), kappa, trials=trials, horizon=horizon, seed=1
+            )
+    finally:
+        tracer.restore()
+    _incl, _selfs, calls = spans.summarise(tracer.spans)
+    for name in ("markov.sample_path", "markov.obs_synthesis", "wonham.log_weights",
+                 "wonham.filter_block", "wonham.chunk", "wonham.transition"):
+        assert calls[name] > 0, name
+    assert tracer.counts["wonham.filter_block.trial_steps"] == trials * steps
+    assert spans.layer_metrics(tracer)["markov.sample_path.calls"] == trials

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -317,6 +318,19 @@ class TestErrors:
         for kappa in ("0.5", "0.4"):
             assert f"note: kappa={kappa}: error: ValueError: trials 1000000000000 " in err
         assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["", ""]
+
+    def test_trials_over_the_trial_cap_fail_per_row_at_once(self, capsys):
+        """Ten grid steps per trial sit exactly at the trial-step budget; the trial cap still refuses."""
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "sweep", "--model", TWOSTATE, "--kappa", "0.5", "--horizon", "1.25",
+            "--burn-in", "0", "--trials", "1000000000",
+        )
+        assert time.perf_counter() - start < 10.0
+        assert code == 2
+        assert "Traceback" not in err
+        assert "note: kappa=0.5: error: ValueError: trials 1000000000 over the cap of " in err
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == [""]
 
     def test_every_error_class_has_a_documented_code(self):
         classes = {

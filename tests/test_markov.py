@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_finite_model
+from oracles import choice_sample_path
 from maxacc import (
     FiniteStateModel,
     reduce_support,
@@ -19,6 +20,7 @@ from maxacc import (
 )
 from maxacc.errors import NotRateMatrix, NotUniqueStationary, ZeroSupport
 from maxacc.markov import (
+    _at_points,
     integrated_observation,
     sample_path,
     state_at,
@@ -195,6 +197,134 @@ class TestSamplePath:
         model = FiniteStateModel(SYM2, [0.0, 1.0])
         with pytest.raises(ValueError, match="horizon"):
             simulate_path(model, horizon, seed=0)
+
+
+def _edge_case_generator(rng: np.random.Generator, d: int, absorbing: bool) -> np.ndarray:
+    """Random sparse generator whose state 0 has one exit target, state d-1 none if absorbing."""
+    L = np.where(rng.random((d, d)) < 0.6, rng.uniform(0.1, 3.0, (d, d)), 0.0)
+    L[0] = 0.0
+    L[0, int(rng.integers(1, d))] = rng.uniform(0.5, 2.0)
+    if absorbing:
+        L[d - 1] = 0.0
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1))
+    return L
+
+
+class TestSamplePathStream:
+    """sample_path draws the stream of the rng.choice/exponential reference sampler."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("absorbing", [False, True])
+    def test_same_times_states_and_generator_state(self, d, absorbing):
+        rng = np.random.default_rng(100 * d + absorbing)
+        for _ in range(3):
+            L = _edge_case_generator(rng, d, absorbing)
+            for x0 in range(d):
+                seed = int(rng.integers(2**32))
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                jt, states = sample_path(L, x0, 150.0, ours)
+                jt_ref, states_ref = choice_sample_path(L, x0, 150.0, ref)
+                assert np.array_equal(jt, jt_ref)
+                assert np.array_equal(states, states_ref)
+                assert states.dtype == states_ref.dtype
+                assert ours.random() == ref.random()
+
+    def test_single_exit_target_row_still_draws(self):
+        """A one-target kernel consumes a uniform draw per jump, as choice does."""
+        L = np.array([[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [3.0, 0.0, -3.0]])
+        ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+        jt, states = sample_path(L, 0, 40.0, ours)
+        assert len(jt) > 20 and np.array_equal(states[:3], [0, 1, 2])
+        jt_ref, states_ref = choice_sample_path(L, 0, 40.0, ref)
+        assert np.array_equal(jt, jt_ref) and np.array_equal(states, states_ref)
+
+
+class TestCellIndex:
+    """_at_points agrees with searchsorted(jump_times, at, "right") - 1 on both of its paths."""
+
+    H = np.array([[0.5, -1.0], [2.0, 0.25], [-1.5, 3.0], [1.0, 1.0], [0.0, -2.0]])
+
+    def paths_taken(self, monkeypatch, jt, at) -> list[str]:
+        """Check jt and at, then report the side of every searchsorted _at_points makes.
+
+        The fast path places the jumps in the grid ("left"), the fallback
+        places the grid points among the jumps ("right").
+        """
+        self.check(jt, at)
+        sides, real = [], np.searchsorted
+
+        def spy(a, v, side="left", sorter=None):
+            sides.append(side)
+            return real(a, v, side=side, sorter=sorter)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "searchsorted", spy)
+            _at_points(np.asarray(jt, dtype=float), np.asarray(at, dtype=float))
+        return sides
+
+    def check(self, jt, at) -> None:
+        jt = np.asarray(jt, dtype=float)
+        at = np.asarray(at, dtype=float)
+        states = np.arange(len(jt)) % len(self.H)
+        k = np.searchsorted(jt, at, side="right") - 1
+        rows = np.arange(len(jt))
+        assert np.array_equal(_at_points(jt, at)(rows), rows[k])  # k = -1 before the first jump
+        assert np.array_equal(state_at(jt, states, at), states[k])
+        if at.ndim == 1:
+            # Reference: the integral gathered by k.
+            vals = self.H[states]
+            seg = np.diff(jt)[:, None] * vals[:-1]
+            prefix = np.vstack([np.zeros((1, 2)), np.cumsum(seg, axis=0)])
+            expected = prefix[k] + vals[k] * (at - jt[k])[:, None]
+            assert np.array_equal(integrated_observation(jt, states, self.H, at), expected)
+
+    def test_grid_time_exactly_at_a_jump(self, monkeypatch):
+        jt = [0.0, 0.5, 1.25, 3.0]
+        at = np.arange(41) * 0.125
+        assert {0.5, 1.25, 3.0} <= set(at)
+        assert self.paths_taken(monkeypatch, jt, at) == ["left"]
+
+    def test_block_grid_not_starting_at_zero(self, monkeypatch):
+        jt = [0.0, 3.0, 12.5, 13.0, 14.375, 20.0]
+        at = (100 + np.arange(41)) * 0.125
+        assert at[0] == 12.5
+        assert self.paths_taken(monkeypatch, jt, at) == ["left"]
+
+    def test_grid_past_the_last_jump(self, monkeypatch):
+        jt = [0.0, 1.0, 2.0]
+        at = (16 + np.arange(65)) * 0.125
+        assert self.paths_taken(monkeypatch, jt, at) == ["left"]
+
+    def test_grid_before_the_first_jump_falls_back(self, monkeypatch):
+        jt = [5.0, 6.0, 7.5]
+        at = np.arange(81) * 0.125
+        assert self.paths_taken(monkeypatch, jt, at) == ["right"]
+
+    def test_unsorted_grid_falls_back(self, monkeypatch):
+        jt = [0.0, 0.5, 1.25, 3.0]
+        at = np.random.default_rng(1).permutation(np.arange(41) * 0.125)
+        assert self.paths_taken(monkeypatch, jt, at) == ["right"]
+
+    def test_scalar_time_falls_back(self, monkeypatch):
+        jt = [0.0, 0.5, 1.25, 3.0]
+        for at in (0.0, 0.5, 1.3, 7.0):
+            assert self.paths_taken(monkeypatch, jt, np.float64(at)) == ["right"]
+
+    def test_few_points_fall_back(self, monkeypatch):
+        jt = [0.0, 0.5, 1.25, 3.0]
+        assert self.paths_taken(monkeypatch, jt, [0.25, 0.5, 2.0]) == ["right"]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_paths_and_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        jt = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 20.0, int(rng.integers(0, 12))))])
+        dt = float(rng.choice([0.125, 0.1, 0.01]))
+        at = (int(rng.integers(0, 300)) + np.arange(int(rng.integers(1, 400)))) * dt
+        if rng.random() < 0.3:  # land some jumps exactly on grid points
+            jt = np.unique(np.concatenate([jt, rng.choice(at, 2)]))
+        self.check(jt, at)
 
 
 class TestObservations:

@@ -288,6 +288,28 @@ class TestEstimator:
         """At least 10x above gate [6]'s star rows: 96 trials of 2e6 grid steps."""
         assert wonham.TRIAL_STEP_BUDGET >= 10 * 96 * int(round(400.0 / (wonham.DT_FACTOR * 0.02**2)))
 
+    def test_trial_cap_is_an_error_before_simulation(self, monkeypatch):
+        """Ten steps per trial pass the trial-step budget; the trial count itself is capped."""
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated an over-cap row")
+
+        monkeypatch.setattr(wonham, "sample_path", no_simulation)
+        trials = wonham.MAX_TRIALS + 1
+        with pytest.raises(ValueError, match=rf"^trials {trials} over the cap of {wonham.MAX_TRIALS} "):
+            estimate_stationary_error(two_state(), np.zeros(2), 0.5, trials=trials, horizon=1.25,
+                                      burn_in=0.0)
+
+    def test_trial_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(wonham, "MAX_TRIALS", 3)
+        est, _ = estimate_stationary_error(two_state(), np.array([0.0, 1.0]), 0.5, trials=3, horizon=10.0)
+        assert np.isfinite(est)
+        with pytest.raises(ValueError, match="^trials 4 over the cap of 3 "):
+            estimate_stationary_error(two_state(), np.array([0.0, 1.0]), 0.5, trials=4, horizon=10.0)
+
+    def test_trial_cap_clears_every_shipped_run(self):
+        """At least 1000x gate [6]'s 96 trials per row."""
+        assert wonham.MAX_TRIALS >= 1000 * 96
+
     def test_chunks_cover_the_trials_in_order(self, monkeypatch):
         seen = []
 
@@ -299,6 +321,68 @@ class TestEstimator:
         monkeypatch.setenv("MAXACC_THREADS", "1")
         estimate_stationary_error(two_state(), np.zeros(2), 0.5, trials=150, horizon=1.0, burn_in=0.0)
         assert seen == [(0, 64), (64, 64), (128, 22)]
+
+
+STAR = FiniteStateModel(
+    [[-2.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]], [[0.0], [1.0], [1.0]]
+)
+QUAD = FiniteStateModel(
+    [[-1.5, 1.0, 0.5, 0.0], [0.5, -1.0, 0.0, 0.5], [0.0, 1.0, -2.0, 1.0], [1.0, 0.0, 0.5, -1.5]],
+    [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, -1.0]],
+)
+
+
+class TestGoldenValues:
+    """Estimates and one filter path recorded with the plain forms of the filter's feed.
+
+    Path sampling by rng.choice, cell lookup by searchsorted, time-major
+    log-weights: the fast forms must keep every per-trial stream and every
+    filter value (they agree bit for bit). Each model runs at two kappas;
+    the smaller takes 20 000 steps, so a block after the first is covered.
+    """
+
+    @pytest.mark.parametrize(
+        "model, f, kappa, horizon, estimate, std_error",
+        [
+            (two_state(), [0.0, 1.0], 0.5, 20.0, 0.20899280786617366, 0.010560790232140281),
+            (two_state(), [0.0, 1.0], 0.05, 25.0, 0.02161500148941869, 0.0015626790895706298),
+            (STAR, [0.0, 1.0, -1.0], 0.1, 20.0, 0.6468055555555554, 0.02555100100315788),
+            (STAR, [0.0, 1.0, -1.0], 0.05, 25.0, 0.6683423913043486, 0.020889821417681552),
+            (QUAD, [1.0, 0.0, -1.0, 2.0], 0.3, 20.0, 0.5062350790881306, 0.04807951417478098),
+            (QUAD, [1.0, 0.0, -1.0, 2.0], 0.08, 25.0, 0.10597555955251163, 0.01167207726945524),
+        ],
+    )
+    def test_estimates(self, model, f, kappa, horizon, estimate, std_error):
+        got = estimate_stationary_error(
+            model, np.array(f), kappa, trials=6, horizon=horizon, burn_in=2.0, seed=3
+        )
+        assert got == pytest.approx((estimate, std_error), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("h", [[[0.0], [1.0], [1.0]], QUAD.h.tolist(), [[1.0, -2.0, 0.5], [0.0, 3.0, 1.0]]])
+    def test_log_weights_state_major_matches_time_major(self, h):
+        h = np.array(h)
+        inc = np.random.default_rng(4).normal(scale=0.05, size=(3, 50, h.shape[1]))
+        state_part, shared = wonham._log_weights(inc, h, 0.07, 0.002)
+        plain = (inc @ h.T) / (0.07 * 0.07) - (0.002 * np.sum(h * h, axis=1)) / (2.0 * 0.07 * 0.07)
+        assert np.array_equal(np.moveaxis(state_part, 0, -1), plain)
+        assert shared.shape == (3, 50)
+
+    def test_run_filter_path(self):
+        bundle = simulate_bundle(STAR, 25.0, kappa=0.05, dt=0.00125, seed=5)
+        path = run_filter(STAR, bundle.obs_increments, 0.05, 0.00125)
+        assert path.shape == (20001, 3)
+        recorded = {
+            1: [0.46347787794536005, 0.26826106102731995, 0.26826106102731995],
+            777: [0.9601529709052857, 0.019923514547357128, 0.019923514547357128],
+            5000: [0.995270428835271, 0.0023647855823644938, 0.0023647855823644938],
+            16384: [0.04283019059130014, 0.4785849047043507, 0.4785849047043491],
+            16385: [0.028112053737164345, 0.4859439731314187, 0.485943973131417],
+            16386: [0.02349407241905499, 0.4882529637904734, 0.48825296379047173],
+            19999: [0.004728364142963984, 0.4976358179285224, 0.4976358179285135],
+            20000: [0.00333848760660131, 0.4983307561967038, 0.49833075619669487],
+        }
+        for step, row in recorded.items():
+            assert path[step] == pytest.approx(row, rel=1e-12, abs=0.0)
 
 
 class TestSweep:
