@@ -35,13 +35,17 @@ from .wonham import SimParams, check_kappa
 
 SCHEMA_VERSION = 1
 
-_NUMBER = {
-    "anyOf": [
-        {"type": "number"},
-        {"type": "string", "pattern": r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$"},
-    ]
-}
-_NUMBER_OR_NULL = {"anyOf": [_NUMBER, {"type": "null"}]}
+# An ASCII decimal string. It means the same under Python's re and ECMA-262,
+# the dialect JSON Schema names: [0-9] rather than \d, which Python lets match
+# any Unicode digit, and (?!\n) because Python's $ also matches before a
+# trailing newline.
+DECIMAL = r"^[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?$(?!\n)"
+# One type list rather than an anyOf: "pattern" applies only to strings, so
+# these accept what anyOf [number, decimal string] accepts, but jsonschema
+# checks each entry once instead of against two subschemas with an error
+# context for each.
+_NUMBER = {"type": ["number", "string"], "pattern": DECIMAL}
+_NUMBER_OR_NULL = {"type": ["number", "string", "null"], "pattern": DECIMAL}
 _MATRIX = {
     "type": "array",
     "minItems": 1,
@@ -78,11 +82,11 @@ MODEL_FILE_SCHEMA: dict = {
             "additionalProperties": False,
             "properties": {
                 "kappas": {"type": "array", "minItems": 1, "items": _NUMBER},
-                "trials": {"type": "integer", "minimum": 1},
+                "trials": {"type": "integer"},
                 "horizon": _NUMBER_OR_NULL,
                 "dt": _NUMBER_OR_NULL,
                 "burn_in": _NUMBER_OR_NULL,
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": {"type": "integer"},
             },
         },
     },

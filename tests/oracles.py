@@ -1,7 +1,9 @@
 """Reference oracles the test suite checks the package against.
 
 Each oracle builds what it needs from public model data, so it does not
-share code with the implementation it checks.
+share code with the implementation it checks. The anyOf schemas are the
+one exception: they keep the shipped schemas' structure and rewrite only
+their number entries, the part under test.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from itertools import product
 import numpy as np
 
 from maxacc import FiniteStateModel, time_reverse
+from maxacc.modelfile import DECIMAL, MODEL_FILE_SCHEMA, REPORT_SCHEMA
 
 DEFAULT_WORD_CAP = 200_000
 RANK_TOL = 1e-9
@@ -90,3 +93,32 @@ def choice_sample_path(
         times.append(t)
         states.append(x)
     return np.asarray(times), np.asarray(states, dtype=np.intp)
+
+
+# The sim fields that the model-file schema lets be null.
+NULLABLE_SIM_FIELDS = ("horizon", "dt", "burn_in")
+
+
+def _anyof_number(node, key=None):
+    """node with every number entry in the anyOf form the schemas once used.
+
+    A number entry is any subschema whose type is a list naming "number".
+    Its pattern and whether it admits null are taken from DECIMAL and from
+    its property name, not from the entry itself, so a shipped entry that
+    lost or changed either shows up as a disagreement.
+    """
+    if isinstance(node, list):
+        return [_anyof_number(v) for v in node]
+    if not isinstance(node, dict):
+        return node
+    if isinstance(node.get("type"), list) and "number" in node["type"]:
+        number = {"anyOf": [{"type": "number"}, {"type": "string", "pattern": DECIMAL}]}
+        return {"anyOf": [number, {"type": "null"}]} if key in NULLABLE_SIM_FIELDS else number
+    return {k: _anyof_number(v, k) for k, v in node.items()}
+
+
+# The model-file and report schemas with each number entry written as
+# anyOf [number, decimal string] (and null, where allowed): the plainer form
+# whose accepted documents the shipped type-list form must match exactly.
+ANYOF_MODEL_FILE_SCHEMA = _anyof_number(MODEL_FILE_SCHEMA)
+ANYOF_REPORT_SCHEMA = _anyof_number(REPORT_SCHEMA)

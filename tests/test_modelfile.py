@@ -23,6 +23,7 @@ from maxacc import (
 )
 from maxacc.errors import MaxaccError, ModelInvariantError, ParseError, SchemaError
 from maxacc.modelfile import MODEL_FILE_SCHEMA, REPORT_SCHEMA, ParsedModelFile, SimSpec
+from oracles import ANYOF_MODEL_FILE_SCHEMA, ANYOF_REPORT_SCHEMA
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -122,6 +123,18 @@ class TestSchemaRejections:
         with pytest.raises(SchemaError, match="boolean"):
             _to_float(True, "x")
 
+    def test_non_number_entry_names_the_allowed_types(self):
+        with pytest.raises(SchemaError) as info:
+            parse_model_dict(_changed(FINITE_DOC, "finite.h.1.0", True))
+        assert str(info.value) == "$.finite.h[1][0]: True is not of type 'number', 'string'"
+
+    @pytest.mark.parametrize("text", ["\u0661.5", "1\n"])
+    def test_decimal_string_is_ascii_without_trailing_newline(self, text):
+        """float() reads both, so only the pattern stops them, as an ECMA-262 validator does."""
+        assert float(text) in (1.5, 1.0)
+        with pytest.raises(SchemaError, match=r"^\$\.finite\.lambda\[0\]\[1\]: .* does not match "):
+            parse_model_dict(_changed(FINITE_DOC, "finite.lambda.0.1", text))
+
     def test_nan_literal_rejected(self):
         text = json.dumps(FINITE_DOC).replace('"-1"', "NaN", 1)
         with pytest.raises(SchemaError, match="non-finite"):
@@ -182,7 +195,7 @@ INVALID_MODEL_DOCS = [
     _changed(FINITE_DOC, "finite.lambda", []),
     _changed(FINITE_DOC, "finite.h.1.0", True),
     _changed(FINITE_DOC, "finite.h", None),
-    dict(FINITE_DOC, sim={"trials": 0}),
+    dict(FINITE_DOC, sim={"horizon": True}),
     dict(FINITE_DOC, sim={"seed": -1, "kappas": []}),
     dict(FINITE_DOC, sim={"horizon": "long"}),
     _changed(lg_doc(), "linear_gaussian.H", None),
@@ -300,6 +313,52 @@ class TestParseFuzz:
         except MaxaccError:
             return
         assert parsed.kind == doc["type"]
+
+
+# Every JSON leaf type, decimal-like strings valid or not, and strings that
+# float() reads but the pattern must refuse.
+_ENTRY = st.one_of(
+    _JSON,
+    _NUMBER,
+    st.from_regex(r"[+-]?[0-9]{0,3}(\.[0-9]{0,2})?([eE][+-]?[0-9]{0,3})?\n?", fullmatch=True),
+    st.sampled_from(["\u0661.5", "\u0661", "1\n", " 1", "1_0", "nan", "inf", "0x10"]),
+)
+_SHIPPED = {"model": jsonschema.Draft202012Validator(MODEL_FILE_SCHEMA),
+            "report": jsonschema.Draft202012Validator(REPORT_SCHEMA)}
+_ANYOF = {"model": jsonschema.Draft202012Validator(ANYOF_MODEL_FILE_SCHEMA),
+          "report": jsonschema.Draft202012Validator(ANYOF_REPORT_SCHEMA)}
+
+
+class TestNumberEncoding:
+    """The shipped type-list number entries accept exactly what the anyOf form accepts."""
+
+    @pytest.mark.parametrize("schema", [MODEL_FILE_SCHEMA, REPORT_SCHEMA])
+    def test_no_anyof_left(self, schema):
+        assert "anyOf" not in json.dumps(schema)
+
+    @pytest.mark.parametrize("schema", [ANYOF_MODEL_FILE_SCHEMA, ANYOF_REPORT_SCHEMA])
+    def test_oracle_schemas_use_anyof(self, schema):
+        jsonschema.Draft202012Validator.check_schema(schema)
+        assert "anyOf" in json.dumps(schema)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_model_docs())
+    def test_model_docs_agree(self, doc):
+        assert _SHIPPED["model"].is_valid(doc) == _ANYOF["model"].is_valid(doc)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_ENTRY)
+    def test_every_entry_agrees_at_each_number_site(self, entry):
+        docs = {
+            "model": [
+                dict(FINITE_DOC, finite=dict(FINITE_DOC["finite"], h=[["0"], [entry]])),
+                dict(FINITE_DOC, sim={"horizon": entry}),
+            ],
+            "report": [dict(GOOD_BUNDLE, lambda_tilde=[["1", entry]])],
+        }
+        for name, group in docs.items():
+            for doc in group:
+                assert _SHIPPED[name].is_valid(doc) == _ANYOF[name].is_valid(doc), doc
 
 
 class TestModelInvariants:

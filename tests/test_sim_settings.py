@@ -21,7 +21,7 @@ from maxacc import (
 )
 from maxacc import lingauss, wonham
 from maxacc.cli import run_command
-from maxacc.errors import DegenerateWeight, ModelInvariantError, NoStabilizingSolution, SchemaError
+from maxacc.errors import DegenerateWeight, ModelInvariantError, NoStabilizingSolution
 from maxacc.wonham import SimParams, check_kappa
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -79,14 +79,9 @@ class TestOneRule:
 
         sim = {"kappas": [value]} if field == "kappa" else {field: value}
         name = "sim.kappas" if field == "kappa" else f"sim.{field}"
-        if field in ("trials", "seed"):
-            # The published schema bounds these two before the rule runs.
-            with pytest.raises(SchemaError, match=rf"^\$\.{name}: "):
-                parse_model_dict(dict(FINITE_DOC, sim=sim))
-        else:
-            with pytest.raises(ModelInvariantError) as info:
-                parse_model_dict(dict(FINITE_DOC, sim=sim))
-            assert after(name, str(info.value)) == rule
+        with pytest.raises(ModelInvariantError) as info:
+            parse_model_dict(dict(FINITE_DOC, sim=sim))
+        assert after(name, str(info.value)) == rule
 
     @pytest.mark.parametrize("field, value", [b for b in BAD_SETTINGS if b[0] != "kappa"])
     def test_simparams_names_the_field_first(self, field, value):
