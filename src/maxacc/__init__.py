@@ -40,11 +40,7 @@ from .modelfile import (
 )
 from .markov import (
     FiniteStateModel,
-    TrajectoryBundle,
     reduce_support,
-    simulate_bundle,
-    simulate_observations,
-    simulate_path,
     stationary_distribution,
     time_reverse,
 )
@@ -58,7 +54,9 @@ from .verdicts import (
 )
 from .wonham import (
     SimParams,
+    TrajectoryBundle,
     estimate_stationary_error,
     kappa_sweep_finite,
     run_filter,
+    simulate_bundle,
 )

@@ -1,9 +1,9 @@
 """Finite-state continuous-time Markov models.
 
-Model representation, stationary analysis, time reversal, and exact-jump
-simulation of the signal together with its integrated noisy observations
-
-    Y_t = int_0^t h(X_s) ds + kappa * B_t.
+Model representation, stationary analysis, time reversal, exact-jump
+simulation of the signal, and the exact integral int_0^t h(X_s) ds of its
+observation drift. The noisy observation Y_t = int_0^t h(X_s) ds + kappa * B_t
+of a Monte-Carlo trial is drawn in wonham, next to the filter.
 
 States are indexed 0..d-1. Observation values are stored as a (d, n) table,
 one row per state; scalar observations are accepted as a flat d-vector.
@@ -150,6 +150,13 @@ def time_reverse(model: FiniteStateModel) -> np.ndarray:
     return R
 
 
+def check_positive(name: str, value: float) -> float:
+    """The rule for horizons, grid steps and noise strengths: positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value:g}")
+    return value
+
+
 def sample_path(
     Lambda: np.ndarray,
     initial_state: int,
@@ -163,6 +170,7 @@ def sample_path(
     rate hold forever. Takes the generator directly so absorbing or frozen
     chains can be sampled from an explicit initial state.
     """
+    check_positive("horizon", horizon)  # NaN or inf would draw jumps forever
     L = np.asarray(Lambda, dtype=float)
     # Per state: the mean holding time and the cumulative jump kernel, built
     # as Generator.choice(d, p=kernel) builds it, so bisecting one uniform
@@ -191,25 +199,6 @@ def sample_path(
         times.append(t)
         states.append(x)
     return np.asarray(times), np.asarray(states, dtype=np.intp)
-
-
-def check_positive(name: str, value: float) -> float:
-    """The rule for horizons, grid steps and noise strengths: positive and finite."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value:g}")
-    return value
-
-
-def simulate_path(
-    model: FiniteStateModel,
-    horizon: float,
-    seed: int | np.random.Generator = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the stationary signal: initial state from pi, then exact jumps."""
-    check_positive("horizon", horizon)  # NaN or inf would draw jumps forever
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    x0 = int(rng.choice(model.d, p=model.pi))
-    return sample_path(model.Lambda, x0, horizon, rng)
 
 
 def integrated_observation(
@@ -254,72 +243,3 @@ def _at_points(jump_times: np.ndarray, at: np.ndarray):
         return lambda rows: np.repeat(rows, counts, axis=0)
     k = np.searchsorted(jump_times, at, side="right") - 1
     return lambda rows: rows[k]
-
-
-def simulate_observations(
-    jump_times: np.ndarray,
-    states: np.ndarray,
-    h: np.ndarray,
-    kappa: float,
-    dt: float,
-    horizon: float,
-    seed: int | np.random.Generator = 0,
-) -> np.ndarray:
-    """Observation increments Delta Y on the grid {0, dt, 2dt, ...} covering [0, horizon].
-
-    Each increment is the exact integral of h over the grid cell (using the
-    jump times, not endpoint sampling) plus kappa * sqrt(dt) * xi with xi
-    standard normal. kappa = 0 gives noiseless increments.
-    """
-    check_positive("dt", dt)
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    steps = int(round(horizon / dt))
-    grid = np.arange(steps + 1) * dt
-    integral = integrated_observation(jump_times, states, h, grid)
-    inc = np.diff(integral, axis=0)
-    if kappa > 0:
-        inc = inc + kappa * np.sqrt(dt) * rng.standard_normal(inc.shape)
-    return inc
-
-
-def trial_rngs(seed: int, trial: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """(signal path, observation noise) RNG substreams of one trial, keyed (seed, trial, stream)."""
-    return np.random.default_rng([seed, trial, 0]), np.random.default_rng([seed, trial, 1])
-
-
-@dataclass
-class TrajectoryBundle:
-    """One simulation run: signal path plus gridded observation increments."""
-
-    jump_times: np.ndarray
-    states: np.ndarray
-    obs_increments: np.ndarray
-    dt: float
-    kappa: float
-    seed: int
-
-    def state_at(self, at: np.ndarray) -> np.ndarray:
-        return state_at(self.jump_times, self.states, np.asarray(at))
-
-
-def simulate_bundle(
-    model: FiniteStateModel,
-    horizon: float,
-    kappa: float,
-    dt: float,
-    seed: int = 0,
-) -> TrajectoryBundle:
-    """Sample a stationary signal path and its observation increments together.
-
-    The path covers the whole grid of round(horizon / dt) cells, and both
-    draw from trial_rngs(seed, 0): the bundle is the record that trial 0 of
-    estimate_stationary_error(seed=seed) filters at the same dt and horizon.
-    """
-    check_positive("dt", dt)
-    horizon = round(horizon / dt) * dt
-    path_rng, obs_rng = trial_rngs(seed, 0)
-    jt, st = simulate_path(model, horizon, path_rng)
-    inc = simulate_observations(jt, st, model.h, kappa, dt, horizon, obs_rng)
-    return TrajectoryBundle(jt, st, inc, dt, kappa, seed)

@@ -26,9 +26,7 @@ from scipy.linalg import expm
 
 from .errors import DegenerateWeight
 from .finite_analysis import finite_verdict
-from .markov import (
-    FiniteStateModel, check_positive, integrated_observation, sample_path, state_at, trial_rngs,
-)
+from .markov import FiniteStateModel, check_positive, integrated_observation, sample_path, state_at
 from .verdicts import SweepResult, SweepRow, TestFunction, row_failure
 
 BLOCK_STEPS = 16384         # grid steps precomputed per vectorized block
@@ -256,6 +254,7 @@ def run_filter(
     which signals that dt is too large for this kappa.
     """
     check_kappa(kappa)
+    check_positive("dt", dt)
     inc = np.asarray(obs_increments, dtype=float)
     if inc.ndim == 1:
         inc = inc[:, None]
@@ -274,6 +273,76 @@ def run_filter(
     return path
 
 
+@dataclass
+class TrajectoryBundle:
+    """One simulation run: signal path plus gridded observation increments."""
+
+    jump_times: np.ndarray
+    states: np.ndarray
+    obs_increments: np.ndarray
+    dt: float
+    kappa: float
+    seed: int
+
+    def state_at(self, at: np.ndarray) -> np.ndarray:
+        return state_at(self.jump_times, self.states, np.asarray(at))
+
+
+def simulate_bundle(
+    model: FiniteStateModel,
+    horizon: float,
+    kappa: float,
+    dt: float,
+    seed: int = 0,
+) -> TrajectoryBundle:
+    """Sample a stationary signal path and its observation increments together.
+
+    The bundle is trial 0 of estimate_stationary_error(seed=seed), drawn by
+    the estimator's own trial sampler over the whole grid of
+    round(horizon / dt) cells: run_filter on its increments filters the
+    record that trial filters at the same dt and horizon.
+    """
+    check_positive("horizon", horizon)
+    check_positive("dt", dt)
+    check_kappa(kappa)
+    steps = round(horizon / dt)
+    path, obs_rng = _trial_path(model, seed, 0, steps * dt)
+    inc = np.empty((steps, model.n))
+    _observe(path, model.h, np.arange(steps + 1) * dt, kappa * np.sqrt(dt), obs_rng, inc)
+    return TrajectoryBundle(*path, inc, dt, kappa, seed)
+
+
+def _trial_path(
+    model: FiniteStateModel, seed: int, trial: int, horizon: float,
+) -> tuple[tuple[np.ndarray, np.ndarray], np.random.Generator]:
+    """Stationary signal path of one trial on [0, horizon], and its noise generator.
+
+    Each trial owns two RNG substreams keyed [seed, trial, stream]: stream 0
+    draws the initial state from pi and then the jumps, stream 1 the
+    observation noise. The keying makes results independent of chunking and
+    pool size.
+    """
+    path_rng = np.random.default_rng([seed, trial, 0])
+    x0 = int(path_rng.choice(model.d, p=model.pi))
+    return sample_path(model.Lambda, x0, horizon, path_rng), np.random.default_rng([seed, trial, 1])
+
+
+def _observe(
+    path: tuple[np.ndarray, np.ndarray], h: np.ndarray, times: np.ndarray,
+    noise_scale: float, rng: np.random.Generator, out: np.ndarray,
+) -> None:
+    """Write the observation increments over the cells of the grid `times` into out.
+
+    Each increment is the exact integral of h over its cell (from the jump
+    times, not endpoint samples) plus noise_scale times a standard normal.
+    The draws are those of rng.standard_normal(out.shape), so a grid filled
+    block by block gets the increments it gets filled at once.
+    """
+    rng.standard_normal(out=out)
+    out *= noise_scale
+    out += np.diff(integrated_observation(*path, h, times), axis=0)
+
+
 def _chunk_trial_means(
     model: FiniteStateModel,
     fvals: np.ndarray,
@@ -284,20 +353,9 @@ def _chunk_trial_means(
     seed: int,
     trial_indices: np.ndarray,
 ) -> np.ndarray:
-    """Per-trial time-averaged squared error for one chunk of trials.
-
-    Each trial owns the two RNG substreams of trial_rngs(seed, trial): one
-    for the signal path, one for observation noise. The keying makes results
-    independent of chunking and pool size.
-    """
+    """Per-trial time-averaged squared error for one chunk of trials."""
     batch = len(trial_indices)
-    horizon = steps * dt
-    paths, obs_rngs = [], []
-    for t in trial_indices:
-        path_rng, obs_rng = trial_rngs(seed, int(t))
-        x0 = int(path_rng.choice(model.d, p=model.pi))
-        paths.append(sample_path(model.Lambda, x0, horizon, path_rng))
-        obs_rngs.append(obs_rng)
+    trials = [_trial_path(model, seed, int(t), steps * dt) for t in trial_indices]
 
     T_dt = _transition(model, dt)
     mu = np.tile(model.pi, (batch, 1))
@@ -308,11 +366,9 @@ def _chunk_trial_means(
         times = (start + np.arange(blk + 1)) * dt
         inc = np.empty((batch, blk, model.n))
         fX = np.empty((batch, blk))
-        for b, (jt, st) in enumerate(paths):
-            # The draws of standard_normal((blk, n)), without a temporary array.
-            obs_rngs[b].standard_normal(out=inc[b])
-            inc[b] *= noise_scale
-            inc[b] += np.diff(integrated_observation(jt, st, model.h, times), axis=0)
+        for b, (path, obs_rng) in enumerate(trials):
+            _observe(path, model.h, times, noise_scale, obs_rng, inc[b])
+            jt, st = path
             fX[b] = state_at(jt, fvals[st], times[1:])  # f(X) is a path with X's jumps
         out = _filter_increments(model, mu, T_dt, inc, kappa, dt)
         mu = out[:, -1, :].copy()
@@ -342,7 +398,7 @@ def estimate_stationary_error(
     MAXACC_THREADS environment variable caps the worker pool. Settings obey
     the SimParams rules; work over a budget is refused before any sampling.
     """
-    fvals = f.values if isinstance(f, TestFunction) else np.asarray(f, dtype=float)
+    fvals = (f if isinstance(f, TestFunction) else TestFunction(f)).values
     if fvals.shape != (model.d,):
         raise ValueError(f"test function needs {model.d} values, got shape {fvals.shape}")
     check_kappa(kappa)
@@ -402,7 +458,7 @@ def kappa_sweep_finite(
     against the algebraic verdict.
     """
     params = params or SimParams()
-    fv = f if isinstance(f, TestFunction) else TestFunction(np.asarray(f, dtype=float))
+    fv = f if isinstance(f, TestFunction) else TestFunction(f)
     verdict = finite_verdict(model)
     base = model.variance_of(fv.values)
     rows: list[SweepRow] = []

@@ -70,3 +70,22 @@ def test_finite_family_spans_fire():
         assert calls[name] > 0, name
     assert tracer.counts["wonham.filter_block.trial_steps"] == trials * steps
     assert spans.layer_metrics(tracer)["markov.sample_path.calls"] == trials
+
+
+def test_bundle_goes_through_the_traced_trial_sampler():
+    """simulate_bundle samples with the estimator's helpers, so the tracer sees it.
+
+    A bundle sampler forked from the estimator's again would skip the wrapped
+    names and go unseen by the benchmark's sampling layers.
+    """
+    spans = load_spans()
+    model = FiniteStateModel([[-1.0, 1.0], [1.0, -1.0]], [0.0, 1.0])
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        wonham.simulate_bundle(model, 20.0, kappa=0.3, dt=0.01, seed=2)
+    finally:
+        tracer.restore()
+    _incl, _selfs, calls = spans.summarise(tracer.spans)
+    assert calls["markov.sample_path"] == 1
+    assert calls["markov.obs_synthesis"] >= 1

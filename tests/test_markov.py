@@ -13,8 +13,6 @@ from maxacc import (
     FiniteStateModel,
     reduce_support,
     simulate_bundle,
-    simulate_observations,
-    simulate_path,
     stationary_distribution,
     time_reverse,
 )
@@ -170,7 +168,8 @@ class TestSamplePath:
     def test_ergodic_fraction_matches_pi(self):
         model = FiniteStateModel(SYM2, [0.0, 1.0])
         horizon = 1e4
-        jt, states = simulate_path(model, horizon, seed=42)
+        rng = np.random.default_rng(42)
+        jt, states = sample_path(SYM2, int(rng.choice(2, p=model.pi)), horizon, rng)
         time_in_1 = float(
             integrated_observation(jt, states, np.array([0.0, 1.0]), np.array([horizon]))[0, 0]
         )
@@ -181,7 +180,8 @@ class TestSamplePath:
         L = np.array([[-2.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
         model = FiniteStateModel(L, np.zeros(3))
         horizon, batches = 1e5, 100
-        jt, states = simulate_path(model, horizon, seed=5)
+        rng = np.random.default_rng(5)
+        jt, states = sample_path(L, int(rng.choice(3, p=model.pi)), horizon, rng)
         edges = np.linspace(0.0, horizon, batches + 1)
         for i in range(3):
             ind = np.zeros(3)
@@ -193,10 +193,11 @@ class TestSamplePath:
 
     @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0])
     def test_horizon_must_be_positive_and_finite(self, horizon):
-        """NaN or inf would never end the jump loop; both fail before sampling."""
-        model = FiniteStateModel(SYM2, [0.0, 1.0])
-        with pytest.raises(ValueError, match="horizon"):
-            simulate_path(model, horizon, seed=0)
+        """NaN or inf would never end the jump loop of a jumping chain; all fail
+        before sampling. The chain here is frozen, so a missing check fails the
+        test instead of hanging it."""
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            sample_path(np.zeros((2, 2)), 0, horizon, np.random.default_rng(0))
 
 
 def _edge_case_generator(rng: np.random.Generator, d: int, absorbing: bool) -> np.ndarray:
@@ -328,27 +329,31 @@ class TestCellIndex:
 
 
 class TestObservations:
+    """A noiseless record is the np.diff of integrated_observation on the grid;
+    noisy records come from simulate_bundle."""
+
     def test_noiseless_frozen_path_increments(self):
         h = np.array([2.0, -3.0])
         jt, states = sample_path(np.zeros((2, 2)), 1, 10.0, np.random.default_rng(0))
-        inc = simulate_observations(jt, states, h, kappa=0.0, dt=0.25, horizon=10.0)
+        inc = np.diff(integrated_observation(jt, states, h, np.arange(41) * 0.25), axis=0)
         assert inc.shape == (40, 1)
         assert np.allclose(inc, -3.0 * 0.25, atol=1e-12)
 
     def test_noiseless_increments_integrate_exactly(self):
         model = FiniteStateModel(SYM2, [0.5, -1.5])
-        jt, states = simulate_path(model, 200.0, seed=3)
-        inc = simulate_observations(jt, states, model.h, 0.0, 0.01, 200.0, seed=4)
+        rng = np.random.default_rng(3)
+        jt, states = sample_path(SYM2, int(rng.choice(2, p=model.pi)), 200.0, rng)
+        grid = np.arange(20001) * 0.01
+        inc = np.diff(integrated_observation(jt, states, model.h, grid), axis=0)
         total = integrated_observation(jt, states, model.h, np.array([200.0]))[0]
         assert np.allclose(inc.sum(axis=0), total, rtol=1e-10, atol=1e-10)
 
     def test_pure_noise_statistics(self):
         """h = 0, kappa = 1: increments are iid N(0, dt)."""
         dt, steps = 0.05, 200_000
-        jt, states = sample_path(np.zeros((1, 1)), 0, steps * dt, np.random.default_rng(0))
-        inc = simulate_observations(
-            jt, states, np.zeros(1), kappa=1.0, dt=dt, horizon=steps * dt, seed=9
-        )[:, 0]
+        model = FiniteStateModel(np.zeros((1, 1)), np.zeros(1))
+        inc = simulate_bundle(model, steps * dt, kappa=1.0, dt=dt, seed=9).obs_increments[:, 0]
+        assert inc.shape == (steps,)
         assert abs(inc.mean()) < 4.0 * np.sqrt(dt / steps)
         chi2_mean = np.mean((inc / np.sqrt(dt)) ** 2)
         assert abs(chi2_mean - 1.0) < 5.0 * np.sqrt(2.0 / steps)
@@ -357,15 +362,8 @@ class TestObservations:
         """Law of large numbers for mean(dY/dt) at kappa = 1."""
         model = FiniteStateModel([[-2.0, 2.0], [1.0, -1.0]], [0.0, 1.0])
         horizon, dt = 5000.0, 0.5
-        jt, states = simulate_path(model, horizon, seed=13)
-        inc = simulate_observations(jt, states, model.h, 1.0, dt, horizon, seed=14)
+        inc = simulate_bundle(model, horizon, 1.0, dt, seed=13).obs_increments
         assert abs(inc.mean() / dt - 2.0 / 3.0) < 0.1
-
-    def test_kappa_zero_requires_positive_dt(self):
-        with pytest.raises(ValueError):
-            simulate_observations(np.array([0.0]), np.array([0]), np.zeros(1), 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            simulate_observations(np.array([0.0]), np.array([0]), np.zeros(1), -1.0, 0.1, 1.0)
 
 
 class TestBundle:
@@ -383,6 +381,18 @@ class TestBundle:
         fine = simulate_bundle(model, 20.0, 0.3, dt=0.05, seed=8)
         assert np.array_equal(coarse.jump_times, fine.jump_times)
         assert np.array_equal(coarse.states, fine.states)
+
+    @pytest.mark.parametrize("name, value", [
+        (name, value)
+        for name in ("horizon", "kappa", "dt")
+        for value in (float("nan"), float("inf"), 0.0, -1.0)
+    ])
+    def test_inputs_obey_the_one_rule(self, name, value):
+        """horizon, kappa and dt are positive and finite, checked before sampling."""
+        model = FiniteStateModel(SYM2, [0.0, 1.0])
+        args = dict(horizon=10.0, kappa=0.3, dt=0.1) | {name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            simulate_bundle(model, **args, seed=0)
 
     def test_same_seed_reproduces(self):
         model = FiniteStateModel(SYM2, [0.0, 1.0])

@@ -119,6 +119,12 @@ class TestRunFilter:
         with pytest.raises(ValueError):
             run_filter(two_state(), np.zeros((5, 1)), kappa=0.0, dt=0.1)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        """A bad step is a bad input (ValueError), not a degenerate filter."""
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            run_filter(two_state(), np.zeros((5, 1)), kappa=0.3, dt=dt)
+
     def test_increment_width_must_match_model(self):
         with pytest.raises(ValueError):
             run_filter(two_state(), np.zeros((5, 3)), kappa=0.3, dt=0.1)
@@ -255,6 +261,16 @@ class TestEstimator:
         for kappa in (np.nan, np.inf):
             with pytest.raises(ValueError, match="kappa"):
                 estimate_stationary_error(model, np.zeros(2), kappa)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_raw_test_function_obeys_the_test_function_rule(self, bad):
+        """A raw vector fails as TestFunction fails it, and as kappa_sweep_finite does."""
+        f = [bad, 1.0]
+        with pytest.raises(ValueError, match="test function must be a finite") as raw:
+            estimate_stationary_error(two_state(), f, 0.5, trials=2, horizon=10.0)
+        with pytest.raises(ValueError) as swept:
+            kappa_sweep_finite(two_state(), f, [0.5], SimParams(trials=2, horizon=10.0))
+        assert str(raw.value) == str(swept.value)
 
     def test_step_budget_is_an_error_before_simulation(self, monkeypatch):
         def no_simulation(*args, **kwargs):
