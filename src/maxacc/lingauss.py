@@ -459,16 +459,16 @@ def _riccati_residual(A: np.ndarray, Q: np.ndarray, H: np.ndarray, r: float, P: 
 
 
 def _kleinman(
-    A: np.ndarray, Q: np.ndarray, H: np.ndarray, r: float, P: np.ndarray, iters: int = 30
+    A: np.ndarray, Q: np.ndarray, H: np.ndarray, r: float, P: np.ndarray
 ) -> np.ndarray | None:
     """Newton (Kleinman) refinement of the stationary Riccati solution.
 
-    Each step solves one Lyapunov equation for the current closed loop.
-    Returns None when the starting point is not stabilizing or progress
-    stalls above the residual target.
+    Each step solves one Lyapunov equation for the current closed loop; the
+    walk stops at a residual below 1e-12 or after 30 steps. Returns None when
+    the starting point is not stabilizing.
     """
     best = None
-    for _ in range(iters):
+    for _ in range(30):
         K = P @ H.T / r
         Acl = A - K @ H
         if not is_stable(Acl):
@@ -487,70 +487,61 @@ def riccati_stationary(
 ) -> RiccatiSolution:
     """Stabilizing solution P of A P + P A^T + D D^T - P H^T H P / kappa^2 = 0.
 
-    Solved by the Hamiltonian/Schur method with Newton refinement. Small
-    kappa makes the direct solve ill conditioned, so on failure the solver
-    walks a geometric kappa ladder from an easier noise level down to the
-    target, warm-starting Newton at each rung. A warm start from a nearby
-    kappa can be supplied directly, which is how sweeps traverse a grid.
+    Newton walks from up to three starts, tried in order:
+
+    1. the caller's warm start, a solution at a nearby kappa, which is how
+       sweeps traverse a grid;
+    2. the direct Hamiltonian/Schur solve at kappa;
+    3. the Schur solve at max(1e3 kappa, 1), walked down to kappa in
+       half-decade rungs so each Newton start stays inside its basin. Small
+       kappa makes the direct solve ill conditioned; this ladder rescues it.
+
+    A start is accepted when its relative residual is within RICCATI_RESIDUAL
+    and P is positive semidefinite. A failed start moves on to the next; only
+    the failure of the last one is raised.
     """
     check_kappa(kappa)
     validate_model(model)
     A, H = model.A, model.H
     Q = model.D @ model.D.T
     r = kappa * kappa
-
-    def finish(P: np.ndarray) -> RiccatiSolution:
-        P = 0.5 * (P + P.T)
-        res = _riccati_residual(A, Q, H, r, P)
-        if res > RICCATI_RESIDUAL:
-            raise NoStabilizingSolution(
-                f"Riccati residual {res:.2e} exceeds {RICCATI_RESIDUAL:g} at kappa={kappa:g}"
-            )
-        if np.min(np.linalg.eigvalsh(P)) < -PSD_TOL:
-            raise NoStabilizingSolution(f"Riccati solution indefinite at kappa={kappa:g}")
-        return RiccatiSolution(kappa=kappa, P=P)
-
-    def care(rk: float) -> np.ndarray:
-        """Direct Schur solve; LinAlgError, or ValueError when scipy's ordqz cannot reorder."""
-        P = sla.solve_continuous_are(A.T, H.T, Q, rk * np.eye(model.n))
-        return 0.5 * (P + P.T)
-
-    if warm is not None:
-        P = _kleinman(A, Q, H, r, warm)
-        if P is not None and _riccati_residual(A, Q, H, r, P) <= RICCATI_RESIDUAL:
-            return finish(P)
-
-    try:
-        P = care(r)
-        refined = _kleinman(A, Q, H, r, P, iters=5)
-        if refined is not None:
-            P = refined
-        if _riccati_residual(A, Q, H, r, P) <= RICCATI_RESIDUAL:
-            return finish(P)
-    except ValueError:
-        pass
-
-    # Continuation: start from an easy noise level, walk down in half-decade
-    # steps so each Newton warm start stays inside its basin.
     ladder = []
     k = max(kappa * 1e3, 1.0)
     while k > kappa * 1.0001:
         ladder.append(k)
         k /= np.sqrt(10.0)
     ladder.append(kappa)
-    try:
-        P = care(ladder[0] * ladder[0])
-    except ValueError as exc:
-        raise NoStabilizingSolution(
-            f"direct Riccati solve failed at continuation start kappa={ladder[0]:g}: {exc}"
-        ) from exc
-    for k in ladder:
-        P = _kleinman(A, Q, H, k * k, P)
-        if P is None:
-            raise NoStabilizingSolution(
-                f"Newton continuation lost the stabilizing branch at kappa={k:g}"
-            )
-    return finish(P)
+    # (Schur-solve kappa, or None for the warm start; Newton rungs)
+    starts = [(None, [kappa])] if warm is not None else []
+    for start, rungs in starts + [(kappa, [kappa]), (ladder[0], ladder)]:
+        try:
+            if start is None:
+                P = warm
+            else:
+                try:
+                    P = sla.solve_continuous_are(A.T, H.T, Q, start * start * np.eye(model.n))
+                except ValueError as exc:  # LinAlgError, or scipy's ordqz failing to reorder
+                    raise NoStabilizingSolution(
+                        f"direct Riccati solve failed at continuation start kappa={start:g}: {exc}"
+                    ) from exc
+                P = 0.5 * (P + P.T)
+            for k in rungs:
+                P = _kleinman(A, Q, H, k * k, P)
+                if P is None:
+                    raise NoStabilizingSolution(
+                        f"Newton continuation lost the stabilizing branch at kappa={k:g}"
+                    )
+            res = _riccati_residual(A, Q, H, r, P)
+            if not res <= RICCATI_RESIDUAL:
+                raise NoStabilizingSolution(
+                    f"Riccati residual {res:.2e} exceeds {RICCATI_RESIDUAL:g} at kappa={kappa:g}"
+                )
+            if np.min(np.linalg.eigvalsh(P)) < -PSD_TOL:
+                raise NoStabilizingSolution(f"Riccati solution indefinite at kappa={kappa:g}")
+            return RiccatiSolution(kappa=kappa, P=P)
+        except (ValueError, NoStabilizingSolution) as exc:
+            failure = exc
+    raise failure
 
 
 def kappa_sweep_lg(model: LinearGaussianModel, kappas: list[float]) -> SweepResult:

@@ -300,16 +300,30 @@ def simulate_bundle(
     The bundle is trial 0 of estimate_stationary_error(seed=seed), drawn by
     the estimator's own trial sampler over the whole grid of
     round(horizon / dt) cells: run_filter on its increments filters the
-    record that trial filters at the same dt and horizon.
+    record that trial filters at the same dt and horizon. A grid with no
+    cells, or more than STEP_BUDGET, is refused before any sampling.
     """
     check_positive("horizon", horizon)
     check_positive("dt", dt)
     check_kappa(kappa)
-    steps = round(horizon / dt)
+    steps = _grid_steps(horizon, dt)
+    if steps == 0:
+        raise ValueError(f"horizon {horizon:g} rounds to 0 grid steps of dt {dt:g}")
     path, obs_rng = _trial_path(model, seed, 0, steps * dt)
     inc = np.empty((steps, model.n))
     _observe(path, model.h, np.arange(steps + 1) * dt, kappa * np.sqrt(dt), obs_rng, inc)
     return TrajectoryBundle(*path, inc, dt, kappa, seed)
+
+
+def _grid_steps(horizon: float, dt: float) -> int:
+    """round(horizon / dt) grid cells of one trial, refused over STEP_BUDGET before sampling."""
+    steps = int(round(horizon / dt))
+    if steps > STEP_BUDGET:
+        raise ValueError(
+            f"dt {dt:g} needs {steps} grid steps per trial, over the budget of {STEP_BUDGET}; "
+            "use a larger dt or a shorter horizon"
+        )
+    return steps
 
 
 def _trial_path(
@@ -403,15 +417,10 @@ def estimate_stationary_error(
         raise ValueError(f"test function needs {model.d} values, got shape {fvals.shape}")
     check_kappa(kappa)
     dt, burn_in = SimParams(trials, horizon, dt, burn_in, seed).resolve(model, kappa)
-    steps = int(round(horizon / dt))
+    steps = _grid_steps(horizon, dt)
     burn_steps = int(np.floor(burn_in / dt + 1e-9))
     if burn_steps >= steps:
         raise ValueError(f"horizon {horizon} leaves no samples after burn-in {burn_in}")
-    if steps > STEP_BUDGET:
-        raise ValueError(
-            f"dt {dt:g} needs {steps} grid steps per trial, over the budget of {STEP_BUDGET}; "
-            "use a larger dt or a shorter horizon"
-        )
     if trials * steps > TRIAL_STEP_BUDGET:
         raise ValueError(
             f"trials {trials} of {steps} grid steps need {trials * steps} trial-steps, "

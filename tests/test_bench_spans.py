@@ -3,7 +3,8 @@
 bench/spans.py patches maxacc functions by module attribute; a renamed or
 deleted name would only surface in the next traced benchmark run, so the
 install/restore round trip is checked here, and so is a traced estimate that
-must pass through every finite-family layer.
+must pass through every finite-family layer, and so are the Riccati counters,
+which classify each solve by the CARE calls it makes.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from maxacc import FiniteStateModel, wonham
+from conftest import random_stable_lg
+from maxacc import FiniteStateModel, lingauss, parse_model_file, wonham
 
-SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_PY = ROOT / "bench" / "spans.py"
 
 
 def test_tracer_installs_and_restores():
@@ -89,3 +92,43 @@ def test_bundle_goes_through_the_traced_trial_sampler():
     _incl, _selfs, calls = spans.summarise(tracer.spans)
     assert calls["markov.sample_path"] == 1
     assert calls["markov.obs_synthesis"] >= 1
+
+
+def traced_riccati_counts(run) -> dict:
+    """The lingauss.riccati.* counters after one traced call of run()."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        run()
+    finally:
+        tracer.restore()
+    metrics = spans.layer_metrics(tracer)
+    return {name.split(".")[-1]: metrics[name] for name in metrics
+            if name.startswith("lingauss.riccati.")}
+
+
+def test_riccati_counters_classify_a_sweep():
+    """A sweep solves its first row directly and warm-starts the rest.
+
+    A counter that stops seeing the solves (a renamed scipy call, a solve
+    path that bypasses the module attribute) would read 0 in the benchmark;
+    here it fails instead.
+    """
+    model = parse_model_file(str(ROOT / "models" / "ks_example.json")).model
+    counts = traced_riccati_counts(
+        lambda: lingauss.kappa_sweep_lg(model, [0.1, 0.01, 0.001, 0.0001]))
+    assert counts["warm_solves"] == 3
+    assert counts["direct_solves"] == 1
+    assert counts["continuation_solves"] == 0
+    assert counts["care_calls"] == 1
+    assert counts["lyapunov_solves"] > 0
+
+
+def test_riccati_counters_see_the_continuation_ladder():
+    """Seed 29's direct solve fails at kappa 1e-6 (scipy's ordqz cannot reorder)."""
+    model = random_stable_lg(np.random.default_rng(29), p_max=6)
+    counts = traced_riccati_counts(lambda: lingauss.riccati_stationary(model, 1e-6))
+    assert counts["continuation_solves"] == 1
+    assert counts["warm_solves"] == counts["direct_solves"] == 0
+    assert counts["care_calls"] == 2

@@ -478,6 +478,59 @@ class TestRiccatiPaths:
         with pytest.raises(NoStabilizingSolution, match="continuation start kappa=1"):
             riccati_stationary(benchmark(), 1e-3)
 
+    @staticmethod
+    def count_care(monkeypatch) -> list:
+        """Record the noise weight r of every CARE call riccati_stationary makes."""
+        calls = []
+        solve = lingauss.sla.solve_continuous_are
+
+        def counting(*args):
+            calls.append(args[3][0, 0])
+            return solve(*args)
+
+        monkeypatch.setattr(lingauss.sla, "solve_continuous_are", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", [3, 10, 28])
+    def test_ladder_rescues_cold_solves_at_1e_8(self, monkeypatch, seed):
+        model = random_stable_lg(np.random.default_rng(seed), p_max=6)
+        calls = self.count_care(monkeypatch)
+        cold = riccati_stationary(model, 1e-8)
+        assert len(calls) >= 2  # the direct solve failed; the ladder's first rung solved
+        P = None
+        for kappa in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+            P = riccati_stationary(model, kappa, warm=P).P
+        assert cold.trace == pytest.approx(float(np.trace(P)), rel=1e-7)
+
+    def test_non_stabilizing_warm_start_falls_through_to_the_direct_solve(self, monkeypatch):
+        cold = riccati_stationary(benchmark(), 1e-3)
+        calls = self.count_care(monkeypatch)
+        # K = P H^T / r with P = -I makes A - K H = A + H^T H / r unstable.
+        sol = riccati_stationary(benchmark(), 1e-3, warm=-np.eye(2))
+        assert calls == [1e-6]
+        assert np.array_equal(sol.P, cold.P)
+
+    def test_every_start_failing_raises_the_last_starts_failure(self, monkeypatch):
+        model = benchmark()
+        solve = lingauss.sla.solve_continuous_are
+
+        def fail_direct(*args):
+            if args[3][0, 0] == 1e-6:
+                raise ValueError("Reordering of (A, B) failed")
+            return solve(*args)
+
+        monkeypatch.setattr(lingauss.sla, "solve_continuous_are", fail_direct)
+        ladder = riccati_stationary(model, 1e-3).P
+        res = lingauss._riccati_residual(model.A, model.D @ model.D.T, model.H, 1e-6, ladder)
+        monkeypatch.setattr(lingauss.sla, "solve_continuous_are", solve)
+
+        monkeypatch.setattr(lingauss, "RICCATI_RESIDUAL", 0.0)
+        calls = self.count_care(monkeypatch)
+        message = rf"^Riccati residual {res:.2e} exceeds 0 at kappa=0.001$"
+        with pytest.raises(NoStabilizingSolution, match=message):
+            riccati_stationary(model, 1e-3, warm=np.zeros((2, 2)))
+        assert calls == [1e-6, 1.0]  # warm, then the direct solve, then the ladder
+
 
 class TestLgSweep:
     def test_benchmark_plateaus_consistently(self):

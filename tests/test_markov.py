@@ -394,6 +394,14 @@ class TestBundle:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             simulate_bundle(model, **args, seed=0)
 
+    @pytest.mark.parametrize("horizon", [0.01, 0.05])
+    def test_grid_without_steps_names_the_given_horizon(self, horizon):
+        """A positive horizon that rounds to no cells is refused as given, not as 0."""
+        model = FiniteStateModel(SYM2, [0.0, 1.0])
+        message = rf"^horizon {horizon:g} rounds to 0 grid steps of dt 0.1$"
+        with pytest.raises(ValueError, match=message):
+            simulate_bundle(model, horizon, 0.3, 0.1)
+
     def test_same_seed_reproduces(self):
         model = FiniteStateModel(SYM2, [0.0, 1.0])
         a = simulate_bundle(model, 10.0, 0.3, 0.1, seed=21)

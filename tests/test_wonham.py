@@ -282,6 +282,22 @@ class TestEstimator:
         with pytest.raises(ValueError, match=rf"dt 1e-06 needs {steps} grid steps"):
             estimate_stationary_error(two_state(), np.zeros(2), 0.001, horizon=60.0)
 
+    def test_bundle_step_budget_is_an_error_before_simulation(self, monkeypatch):
+        """simulate_bundle counts and caps its grid with the estimator's rule."""
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated an over-budget bundle")
+
+        monkeypatch.setattr(wonham, "sample_path", no_simulation)
+        with pytest.raises(ValueError, match=rf"^dt 1e-15 needs {10**15} grid steps per trial, "
+                                             rf"over the budget of {wonham.STEP_BUDGET}; "):
+            simulate_bundle(two_state(), 1.0, 0.3, 1e-15)
+
+    def test_bundle_step_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(wonham, "STEP_BUDGET", 200)
+        assert simulate_bundle(two_state(), 20.0, 0.3, 0.1).obs_increments.shape == (200, 1)
+        with pytest.raises(ValueError, match="^dt 0.1 needs 201 grid steps"):
+            simulate_bundle(two_state(), 20.1, 0.3, 0.1)
+
     def test_total_work_cap_is_an_error_before_simulation(self, monkeypatch):
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated an over-budget row")
