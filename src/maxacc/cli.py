@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import MaxaccError
 from .finite_analysis import finite_verdict
-from .lingauss import is_stable, kappa_sweep_lg, ks_check, reduce_unstable, transmission_zeros
+from .lingauss import kappa_sweep_lg, ks_check, reduce_unstable, transmission_zeros
 from .markov import reduce_support, time_reverse
 from .modelfile import ParsedModelFile, model_hash, parse_model_file, validate_report
 from .svgreport import render_sweep_svg
@@ -85,11 +85,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_zeros(args: argparse.Namespace) -> int:
     parsed = parse_model_file(args.model)
     if parsed.kind == "finite":
-        print("error: zeros requires a linear_gaussian model", file=sys.stderr)
-        return 1
-    model = parsed.model
-    if not is_stable(model.A):
-        model = reduce_unstable(model)
+        raise ValueError("zeros requires a linear_gaussian model")
+    model = reduce_unstable(parsed.model)
+    if not parsed.model.stable:
         print("note: unstable A reduced by output injection", file=sys.stderr)
     report = transmission_zeros(model)
     bundle = _bundle(parsed, zero_report=report.to_dict())
@@ -100,8 +98,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
 def _cmd_reverse(args: argparse.Namespace) -> int:
     parsed = parse_model_file(args.model)
     if parsed.kind != "finite":
-        print("error: reverse requires a finite model", file=sys.stderr)
-        return 1
+        raise ValueError("reverse requires a finite model")
     reduced = reduce_support(parsed.model)
     tilde = time_reverse(reduced)
     if args.json:
@@ -197,8 +194,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         text = path.read_text()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text))
     rows: list[tuple[float, float, float | None]] = []
     flag = ""
@@ -212,11 +208,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 (float(rec["kappa"]), float(rec["estimate"]), float(se) if se else None)
             )
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: {path} is not a sweep CSV: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"{path} is not a sweep CSV: {exc}") from exc
     if not rows:
-        print(f"error: {path} has no plottable rows", file=sys.stderr)
-        return 1
+        raise ValueError(f"{path} has no plottable rows")
     svg = render_sweep_svg(rows, title=path.name, flag=flag)
     _emit(svg, args.out or str(path.with_suffix(".svg")))
     return 0

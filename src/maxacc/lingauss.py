@@ -73,15 +73,18 @@ def _rank(M: np.ndarray) -> int:
 class LinearGaussianModel:
     """Linear SDE system matrices A (p x p), D (p x m), H (n x p).
 
-    Construction enforces shape consistency, m <= p and n <= p, and full rank
-    of D (independent columns) and H (independent rows). Stability and the
-    stabilizability/detectability assumptions are checked by validate_model,
-    so that rejected models can still be constructed and inspected.
+    Construction enforces shape consistency, m <= p and n <= p, full rank of
+    D (independent columns) and H (independent rows), and the standing
+    assumptions of validate_model: A is stable, or (A, D) is stabilizable and
+    (A, H) is detectable. A model that exists therefore meets them, and
+    carries the eigenvalues of A (eigs) and whether A is stable (stable).
     """
 
     A: np.ndarray
     D: np.ndarray
     H: np.ndarray
+    eigs: np.ndarray = field(init=False)
+    stable: bool = field(init=False)
 
     def __post_init__(self) -> None:
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -101,6 +104,8 @@ class LinearGaussianModel:
         for name, M, full in (("D", self.D, self.m), ("H", self.H, self.n)):
             if _rank(M) < full:
                 raise RankDeficientDorH(f"{name} must have full rank {full}")
+        self.eigs = np.linalg.eigvals(self.A)
+        self.stable = validate_model(self)["stable"]
 
     @property
     def p(self) -> int:
@@ -135,14 +140,15 @@ def _pbh_rank_ok(A: np.ndarray, other: np.ndarray, stack_rows: bool) -> bool:
 def validate_model(model: LinearGaussianModel) -> dict:
     """Check the standing assumptions and classify the model.
 
-    Returns {"stable", "stabilizable", "detectable"} booleans. Stability is
-    read off the eigenvalues of A; stabilizability of (A, D) and
+    LinearGaussianModel calls this when it is built, so a model that exists
+    has passed it. Returns {"stable", "stabilizable", "detectable"} booleans.
+    Stability is read off model.eigs; stabilizability of (A, D) and
     detectability of (A, H) use PBH rank tests at each eigenvalue with
     nonnegative real part. Raises NotDetectableOrStabilizable when A is
     unstable and the pair tests do not guarantee a reduction to a stable
     model.
     """
-    stable = is_stable(model.A)
+    stable = bool(np.max(model.eigs.real) < 0)
     stabilizable = _pbh_rank_ok(model.A, model.D, stack_rows=False)
     detectable = _pbh_rank_ok(model.A, model.H, stack_rows=True)
     if not stable and not (stabilizable and detectable):
@@ -188,8 +194,7 @@ def transfer_eval(model: LinearGaussianModel, lam: complex) -> np.ndarray:
     lam is an eigenvalue of A (within a relative tolerance), where G has a
     pole rather than a value.
     """
-    A, D, H = model.A, model.D, model.H
-    eigs = np.linalg.eigvals(A)
+    A, D, H, eigs = model.A, model.D, model.H, model.eigs
     scale = max(1.0, float(np.max(np.abs(eigs))), abs(lam))
     if np.min(np.abs(eigs - lam)) <= SHIFT_TOL * scale:
         raise SingularShift(f"lambda = {lam} is an eigenvalue of A")
@@ -278,30 +283,23 @@ def transmission_zeros(model: LinearGaussianModel) -> ZeroReport:
     certifies, above CERT_REJECT * scale rejects, and the band in between
     raises IllConditionedPencil rather than guessing.
     """
-    eigs = np.linalg.eigvals(model.A)
-    if not np.max(eigs.real) < 0:
+    if not model.stable:
         raise NotStable("transmission_zeros needs a stable A; apply reduce_unstable first")
+    eigs = model.eigs
     rho = float(np.max(np.abs(eigs)))
     ref_radius = 2.0 * (1.0 + rho)
     scale, normal_rank = _probe_scale(model, ref_radius)
+    structural = None
     if model.m > model.n:
-        return ZeroReport(
-            zeros=[],
-            normal_rank=normal_rank,
-            structural_fail=True,
-            scale=scale,
-            notes=[f"m = {model.m} > n = {model.n}: columns can never be independent"],
+        structural = f"m = {model.m} > n = {model.n}: columns can never be independent"
+    elif normal_rank < model.m:
+        structural = (
+            f"normal rank {normal_rank} < m = {model.m}: columns are dependent at every lambda"
         )
-    if normal_rank < model.m:
+    if structural:
         return ZeroReport(
-            zeros=[],
-            normal_rank=normal_rank,
-            structural_fail=True,
-            scale=scale,
-            notes=[
-                f"normal rank {normal_rank} < m = {model.m}: columns are "
-                "dependent at every lambda"
-            ],
+            zeros=[], normal_rank=normal_rank, structural_fail=True, scale=scale,
+            notes=[structural],
         )
 
     if model.m == model.n:
@@ -357,10 +355,9 @@ def ks_check(model: LinearGaussianModel) -> Verdict:
     half plane; boundary zeros are allowed. Unstable models are reduced by
     output injection first, which leaves the answer unchanged.
     """
-    flags = validate_model(model)
     notes = []
     work = model
-    if not flags["stable"]:
+    if not model.stable:
         work = reduce_unstable(model)
         notes.append("unstable A reduced by output injection A - KH before zero search")
     report = transmission_zeros(work)
@@ -427,7 +424,7 @@ def reduce_unstable(
     returned unchanged (the K = 0 path).
     """
     if gain is None:
-        if is_stable(model.A):
+        if model.stable:
             return model
         gain = detectability_gain(model.A, model.H)
     K = np.atleast_2d(np.asarray(gain, dtype=float))
@@ -501,7 +498,6 @@ def riccati_stationary(
     the failure of the last one is raised.
     """
     check_kappa(kappa)
-    validate_model(model)
     A, H = model.A, model.H
     Q = model.D @ model.D.T
     r = kappa * kappa
@@ -564,7 +560,7 @@ def kappa_sweep_lg(model: LinearGaussianModel, kappas: list[float]) -> SweepResu
             row.estimate = sol.trace
             P_prev = sol.P
         rows.append(row)
-    if is_stable(model.A):
+    if model.stable:
         base = float(np.trace(lyapunov_solve(model.A, model.D @ model.D.T)))
     else:
         ok = [r for r in rows if r.status == "ok"]

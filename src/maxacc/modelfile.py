@@ -29,7 +29,8 @@ from .errors import (
     RankDeficientDorH,
     SchemaError,
 )
-from .lingauss import LinearGaussianModel, validate_model
+from .lingauss import LinearGaussianModel
+from .lingauss import validate_model  # noqa: F401 (bench/spans.py wraps this name)
 from .markov import FiniteStateModel
 from .wonham import SimParams, check_kappa
 
@@ -237,11 +238,9 @@ def _build_linear_gaussian(node: dict) -> LinearGaussianModel:
     D = _to_matrix(node["D"], "linear_gaussian.D")
     H = _to_matrix(node["H"], "linear_gaussian.H")
     try:
-        model = LinearGaussianModel(A, D, H)
-        validate_model(model)
+        return LinearGaussianModel(A, D, H)
     except (DimensionMismatch, RankDeficientDorH, NotDetectableOrStabilizable) as exc:
         raise ModelInvariantError(f"linear_gaussian: {exc}") from exc
-    return model
 
 
 def _build_sim(node: dict) -> SimSpec:

@@ -317,13 +317,15 @@ def simulate_bundle(
 
 def _grid_steps(horizon: float, dt: float) -> int:
     """round(horizon / dt) grid cells of one trial, refused over STEP_BUDGET before sampling."""
-    steps = int(round(horizon / dt))
-    if steps > STEP_BUDGET:
+    ratio = horizon / dt
+    # Checked as a float, before int() can overflow on it; round() takes a
+    # ratio up to half a step over the budget down to the budget.
+    if ratio > STEP_BUDGET + 0.5:
         raise ValueError(
-            f"dt {dt:g} needs {steps} grid steps per trial, over the budget of {STEP_BUDGET}; "
+            f"dt {dt:g} needs {ratio:.0f} grid steps per trial, over the budget of {STEP_BUDGET}; "
             "use a larger dt or a shorter horizon"
         )
-    return steps
+    return int(round(ratio))
 
 
 def _trial_path(

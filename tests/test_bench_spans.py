@@ -4,7 +4,8 @@ bench/spans.py patches maxacc functions by module attribute; a renamed or
 deleted name would only surface in the next traced benchmark run, so the
 install/restore round trip is checked here, and so is a traced estimate that
 must pass through every finite-family layer, and so are the Riccati counters,
-which classify each solve by the CARE calls it makes.
+which classify each solve by the CARE calls it makes, and the count of
+linear-Gaussian validations per CLI command.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import random_stable_lg
-from maxacc import FiniteStateModel, lingauss, parse_model_file, wonham
+from maxacc import FiniteStateModel, cli, lingauss, parse_model_file, wonham
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS_PY = ROOT / "bench" / "spans.py"
@@ -132,3 +134,23 @@ def test_riccati_counters_see_the_continuation_ladder():
     assert counts["continuation_solves"] == 1
     assert counts["warm_solves"] == counts["direct_solves"] == 0
     assert counts["care_calls"] == 2
+
+
+@pytest.mark.parametrize("command", ["sweep", "analyze"])
+def test_a_model_file_is_validated_once(capsys, command):
+    """Parsing builds the model, and building it is the one validation.
+
+    LinearGaussianModel looks validate_model up in lingauss, where the tracer
+    wraps it; a construction that stopped doing so would read 0 in the
+    benchmark's lingauss.validate_model.calls, and here it fails instead.
+    """
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        with tracer.span(spans.ROOT_SPAN):
+            cli.run_command([command, "--model", str(ROOT / "models" / "ks_example.json")])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert spans.layer_metrics(tracer)["lingauss.validate_model.calls"] == 1

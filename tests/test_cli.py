@@ -332,6 +332,35 @@ class TestErrors:
         assert "note: kappa=0.5: error: ValueError: trials 1000000000 over the cap of " in err
         assert [line.split(",")[1] for line in out.splitlines()[1:]] == [""]
 
+    def test_overflowing_grid_fails_per_row(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--model", TWOSTATE, "--kappa", "0.5", "--horizon", "1e300",
+            "--dt", "1e-10",
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert "note: kappa=0.5: error: ValueError: dt 1e-10 needs inf grid steps per trial" in err
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == [""]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["zeros", "--model", TWOSTATE], "zeros requires a linear_gaussian model"),
+        (["reverse", "--model", KS_EXAMPLE], "reverse requires a finite model"),
+        (["report", "{tmp}/missing.csv"],
+         "cannot read {tmp}/missing.csv: [Errno 2] No such file or directory: '{tmp}/missing.csv'"),
+        (["report", "{tmp}/bad.csv"], "{tmp}/bad.csv is not a sweep CSV: "
+                                      "could not convert string to float: 'abc'"),
+        (["report", "{tmp}/empty.csv"], "{tmp}/empty.csv has no plottable rows"),
+    ], ids=["zeros-on-finite", "reverse-on-lg", "report-unreadable", "report-not-sweep-csv",
+            "report-no-rows"])
+    def test_command_input_errors_exit_through_run_command(self, capsys, tmp_path, argv, message):
+        """Each command raises; run_command alone prints the prefix and picks the code."""
+        (tmp_path / "bad.csv").write_text("kappa,estimate\nabc,1\n")
+        (tmp_path / "empty.csv").write_text("kappa,estimate,std_error,flag\n0.1,,,UNDECIDED\n")
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message.format(tmp=tmp_path)}\n"
+
     def test_every_error_class_has_a_documented_code(self):
         classes = {
             name for name, cls in vars(errors).items()

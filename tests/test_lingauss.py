@@ -55,11 +55,32 @@ class TestModelValidation:
         assert flags["stabilizable"] and flags["detectable"]
 
     def test_undetectable_unstable_rejected(self):
-        model = LinearGaussianModel(
-            np.diag([1.0, -1.0]), np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]])
-        )
         with pytest.raises(NotDetectableOrStabilizable):
-            validate_model(model)
+            LinearGaussianModel(
+                np.diag([1.0, -1.0]), np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]])
+            )
+
+    @pytest.mark.parametrize("draw", [random_stable_lg, random_unstable_lg])
+    def test_construction_records_eigs_and_stability(self, draw):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            model = draw(rng)
+            np.testing.assert_array_equal(model.eigs, np.linalg.eigvals(model.A))
+            assert model.stable == is_stable(model.A)
+
+    def test_built_model_is_not_validated_again(self, monkeypatch):
+        """A model that exists is valid; the analyses downstream do not re-check it."""
+        model = benchmark()
+        calls = []
+        original = lingauss.validate_model
+        monkeypatch.setattr(lingauss, "validate_model", lambda m: calls.append(m) or original(m))
+        ks_check(model)
+        riccati_stationary(model, 0.1)
+        kappa_sweep_lg(model, [0.1, 0.01, 0.001, 0.0001])
+        assert calls == []
+        # The spy sees construction, which looks the name up in lingauss.
+        LinearGaussianModel(model.A, model.D, model.H)
+        assert len(calls) == 1
 
     def test_zero_observation_row_rejected(self):
         with pytest.raises(RankDeficientDorH):

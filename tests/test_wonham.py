@@ -298,6 +298,18 @@ class TestEstimator:
         with pytest.raises(ValueError, match="^dt 0.1 needs 201 grid steps"):
             simulate_bundle(two_state(), 20.1, 0.3, 0.1)
 
+    def test_overflowing_grid_is_a_budget_error_before_simulation(self, monkeypatch):
+        """A horizon / dt that overflows to inf is refused by the budget rule, not by int()."""
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated an over-budget grid")
+
+        monkeypatch.setattr(wonham, "sample_path", no_simulation)
+        budget = rf"^dt 1e-10 needs inf grid steps per trial, over the budget of {wonham.STEP_BUDGET}; "
+        with pytest.raises(ValueError, match=budget):
+            estimate_stationary_error(two_state(), np.zeros(2), 0.5, horizon=1e300, dt=1e-10)
+        with pytest.raises(ValueError, match=budget):
+            simulate_bundle(two_state(), 1e300, 0.5, 1e-10)
+
     def test_total_work_cap_is_an_error_before_simulation(self, monkeypatch):
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated an over-budget row")
