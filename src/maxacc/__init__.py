@@ -46,7 +46,6 @@ from .markov import (
 )
 from .verdicts import (
     SweepResult,
-    TestFunction,
     Verdict,
     ZeroReport,
     identity_embedding,

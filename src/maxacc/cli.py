@@ -27,7 +27,7 @@ from .lingauss import kappa_sweep_lg, ks_check, reduce_unstable, transmission_ze
 from .markov import reduce_support, time_reverse
 from .modelfile import ParsedModelFile, model_hash, parse_model_file, validate_report
 from .svgreport import render_sweep_svg
-from .verdicts import CONSISTENT, TestFunction, identity_embedding, indicator
+from .verdicts import CONSISTENT, check_test_function, identity_embedding, indicator
 from .wonham import SimParams, check_kappa, kappa_sweep_finite
 
 DEFAULT_KAPPAS_FINITE = [0.5, 0.1, 0.02]
@@ -122,26 +122,25 @@ def _parse_kappas(text: str) -> list[float]:
     return [check_kappa(k) for k in kappas]
 
 
-def _parse_f(spec: str, d: int) -> TestFunction:
+def _parse_f(spec: str, d: int) -> np.ndarray:
     if spec == "identity":
         return identity_embedding(d)
-    if spec.startswith("indicator:"):
-        try:
-            i = int(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise _UsageError(f"--f: bad indicator index in {spec!r}") from exc
-        if not 0 <= i < d:
-            raise _UsageError(f"--f: indicator index {i} outside 0..{d - 1}")
-        return indicator(i, d)
     try:
-        values = np.array([float(tok) for tok in spec.split(",")])
-    except ValueError as exc:
-        raise _UsageError(
-            f"--f: expected 'identity', 'indicator:K', or a comma-separated vector, got {spec!r}"
-        ) from exc
-    if values.shape != (d,):
-        raise _UsageError(f"--f: vector needs {d} entries, got {len(values)}")
-    return TestFunction(values, name="vector")
+        if spec.startswith("indicator:"):
+            try:
+                i = int(spec.split(":", 1)[1])
+            except ValueError as exc:
+                raise _UsageError(f"--f: bad indicator index in {spec!r}") from exc
+            return indicator(i, d)
+        try:
+            values = [float(tok) for tok in spec.split(",")]
+        except ValueError as exc:
+            raise _UsageError(
+                f"--f: expected 'identity', 'indicator:K', or a comma-separated vector, got {spec!r}"
+            ) from exc
+        return check_test_function(values, d)
+    except ValueError as exc:  # the test-function rule, named after the flag
+        raise _UsageError(f"--f: {exc}") from exc
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -196,6 +195,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text))
+    for column in ("kappa", "estimate"):
+        if column not in (reader.fieldnames or ()):
+            raise ValueError(f"{path} is not a sweep CSV: no {column!r} column")
     rows: list[tuple[float, float, float | None]] = []
     flag = ""
     try:
@@ -207,7 +209,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             rows.append(
                 (float(rec["kappa"]), float(rec["estimate"]), float(se) if se else None)
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path} is not a sweep CSV: {exc}") from exc
     if not rows:
         raise ValueError(f"{path} has no plottable rows")

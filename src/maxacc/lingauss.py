@@ -125,10 +125,9 @@ def is_stable(A: np.ndarray, margin: float = 0.0) -> bool:
     return bool(np.max(np.linalg.eigvals(A).real) < -margin)
 
 
-def _pbh_rank_ok(A: np.ndarray, other: np.ndarray, stack_rows: bool) -> bool:
-    """PBH test: full rank of the pencil at every eigenvalue with Re >= 0."""
+def _pbh_rank_ok(A: np.ndarray, eigs: np.ndarray, other: np.ndarray, stack_rows: bool) -> bool:
+    """PBH test: full rank of the pencil at every eigenvalue (eigs of A) with Re >= 0."""
     p = A.shape[0]
-    eigs = np.linalg.eigvals(A)
     for lam in eigs[eigs.real >= -1e-9]:
         shifted = A - lam * np.eye(p)
         M = np.vstack([shifted, other]) if stack_rows else np.hstack([shifted, other])
@@ -149,8 +148,8 @@ def validate_model(model: LinearGaussianModel) -> dict:
     model.
     """
     stable = bool(np.max(model.eigs.real) < 0)
-    stabilizable = _pbh_rank_ok(model.A, model.D, stack_rows=False)
-    detectable = _pbh_rank_ok(model.A, model.H, stack_rows=True)
+    stabilizable = _pbh_rank_ok(model.A, model.eigs, model.D, stack_rows=False)
+    detectable = _pbh_rank_ok(model.A, model.eigs, model.H, stack_rows=True)
     if not stable and not (stabilizable and detectable):
         raise NotDetectableOrStabilizable(
             "A is unstable and (A, D) stabilizable / (A, H) detectable fails"
@@ -396,9 +395,10 @@ def detectability_gain(
     A = np.atleast_2d(np.asarray(A, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     p = A.shape[0]
-    if not _pbh_rank_ok(A, H, stack_rows=True):
+    eigs = np.linalg.eigvals(A)
+    if not _pbh_rank_ok(A, eigs, H, stack_rows=True):
         raise NotDetectable("(A, H) fails the PBH detectability test")
-    if is_stable(A, margin=margin):
+    if np.max(eigs.real) < -margin:
         return np.zeros((p, H.shape[0]))
     shifted = A + margin * np.eye(p)
     try:

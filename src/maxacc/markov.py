@@ -157,6 +157,12 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
+def choice_cdf(p: np.ndarray) -> list[float]:
+    """p's CDF as Generator.choice builds it: bisect_right(cdf, rng.random()) draws as choice does."""
+    cdf = np.cumsum(p)
+    return (cdf / cdf[-1]).tolist()
+
+
 def sample_path(
     Lambda: np.ndarray,
     initial_state: int,
@@ -172,21 +178,15 @@ def sample_path(
     """
     check_positive("horizon", horizon)  # NaN or inf would draw jumps forever
     L = np.asarray(Lambda, dtype=float)
-    # Per state: the mean holding time and the cumulative jump kernel, built
-    # as Generator.choice(d, p=kernel) builds it, so bisecting one uniform
-    # draw picks the state choice would pick, and scale * standard_exponential
-    # is exponential(scale): the stream is the choice/exponential one.
-    means, cdfs = [], []
+    # Per state: the mean holding time and the jump kernel's choice_cdf. The
+    # stream is choice's and exponential's: scale * standard_exponential is exponential(scale).
+    means, cdfs = [None] * len(L), [None] * len(L)
     for i, rate in enumerate(-np.diag(L)):
         if rate > 0:
             row = np.clip(L[i], 0.0, None)
             row[i] = 0.0
-            cdf = np.cumsum(row / row.sum())
-            cdfs.append((cdf / cdf[-1]).tolist())
-            means.append(float(1.0 / rate))
-        else:
-            cdfs.append(None)
-            means.append(None)
+            cdfs[i] = choice_cdf(row / row.sum())
+            means[i] = float(1.0 / rate)
     uniform, exponential = rng.random, rng.standard_exponential
     times = [0.0]
     states = [int(initial_state)]

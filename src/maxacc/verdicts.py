@@ -36,30 +36,28 @@ PLATEAU_FLOOR = 0.1         # plateau level above this fraction of the base vari
 EXACT_HALF_WIDTH = 0.0125   # synthetic relative half-width for exact (Riccati) rows
 
 
-@dataclass
-class TestFunction:
-    """A test function f: states -> R, stored as its value vector."""
-
-    __test__ = False  # the Test* name trips pytest collection otherwise
-
-    values: np.ndarray
-    name: str = "f"
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise ValueError("test function must be a finite 1-d value vector")
-        self.values = v
+def check_test_function(f: np.ndarray, d: int) -> np.ndarray:
+    """The one test-function rule: f: states -> R is a finite 1-d vector of d values."""
+    v = np.asarray(f, dtype=float)
+    if v.ndim != 1 or not np.all(np.isfinite(v)):
+        raise ValueError("test function must be a finite 1-d value vector")
+    if v.shape != (d,):
+        raise ValueError(f"test function needs {d} values, got shape {v.shape}")
+    return v
 
 
-def indicator(i: int, d: int) -> TestFunction:
+def indicator(i: int, d: int) -> np.ndarray:
+    """The indicator of state i among d states."""
+    if not 0 <= i < d:
+        raise ValueError(f"indicator index {i} outside 0..{d - 1}")
     v = np.zeros(d)
     v[i] = 1.0
-    return TestFunction(v, name=f"indicator:{i}")
+    return v
 
 
-def identity_embedding(d: int) -> TestFunction:
-    return TestFunction(np.arange(d, dtype=float), name="identity")
+def identity_embedding(d: int) -> np.ndarray:
+    """The state index as a value: f(i) = i."""
+    return np.arange(d, dtype=float)
 
 
 @dataclass

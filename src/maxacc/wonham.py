@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -26,8 +27,8 @@ from scipy.linalg import expm
 
 from .errors import DegenerateWeight
 from .finite_analysis import finite_verdict
-from .markov import FiniteStateModel, check_positive, integrated_observation, sample_path, state_at
-from .verdicts import SweepResult, SweepRow, TestFunction, row_failure
+from .markov import FiniteStateModel, check_positive, choice_cdf, integrated_observation, sample_path, state_at
+from .verdicts import SweepResult, SweepRow, check_test_function, row_failure
 
 BLOCK_STEPS = 16384         # grid steps precomputed per vectorized block
 CHUNK_TRIALS = 64           # trials per work item; fixed so results never depend on pool size
@@ -339,7 +340,7 @@ def _trial_path(
     pool size.
     """
     path_rng = np.random.default_rng([seed, trial, 0])
-    x0 = int(path_rng.choice(model.d, p=model.pi))
+    x0 = bisect_right(choice_cdf(model.pi), path_rng.random())
     return sample_path(model.Lambda, x0, horizon, path_rng), np.random.default_rng([seed, trial, 1])
 
 
@@ -397,7 +398,7 @@ def _chunk_trial_means(
 
 def estimate_stationary_error(
     model: FiniteStateModel,
-    f: TestFunction | np.ndarray,
+    f: np.ndarray,
     kappa: float,
     trials: int = SimParams.trials,
     horizon: float = SimParams.horizon,
@@ -411,12 +412,11 @@ def estimate_stationary_error(
     trials; the standard error is the between-trial standard deviation divided
     by sqrt(trials) (NaN for a single trial). Trials accumulate in fixed index
     order, so the result does not depend on how many workers ran them. The
-    MAXACC_THREADS environment variable caps the worker pool. Settings obey
-    the SimParams rules; work over a budget is refused before any sampling.
+    MAXACC_THREADS environment variable caps the worker pool. f, one value per
+    state, obeys check_test_function and the settings obey the SimParams
+    rules; work over a budget is refused before any sampling.
     """
-    fvals = (f if isinstance(f, TestFunction) else TestFunction(f)).values
-    if fvals.shape != (model.d,):
-        raise ValueError(f"test function needs {model.d} values, got shape {fvals.shape}")
+    fvals = check_test_function(f, model.d)
     check_kappa(kappa)
     dt, burn_in = SimParams(trials, horizon, dt, burn_in, seed).resolve(model, kappa)
     steps = _grid_steps(horizon, dt)
@@ -456,28 +456,28 @@ def estimate_stationary_error(
 
 def kappa_sweep_finite(
     model: FiniteStateModel,
-    f: TestFunction | np.ndarray,
+    f: np.ndarray,
     kappas: list[float],
     params: SimParams | None = None,
 ) -> SweepResult:
     """One Monte-Carlo error estimate per kappa, cross-referenced with the verdict.
 
-    Rows are computed at kappas sorted in descending order. A per-row failure
-    (for example weight underflow at an explicitly forced dt) is recorded in
-    the row status and the remaining rows still run. The empirical trend is
-    classified on the successful rows and flagged CONSISTENT or INCONSISTENT
-    against the algebraic verdict.
+    f meets check_test_function before any work. Rows run at kappas sorted in
+    descending order; a per-row failure (for example weight underflow at an
+    explicitly forced dt) is recorded in the row status and the remaining
+    rows still run. The empirical trend of the successful rows is flagged
+    CONSISTENT or INCONSISTENT against the algebraic verdict.
     """
+    f = check_test_function(f, model.d)
     params = params or SimParams()
-    fv = f if isinstance(f, TestFunction) else TestFunction(f)
     verdict = finite_verdict(model)
-    base = model.variance_of(fv.values)
+    base = model.variance_of(f)
     rows: list[SweepRow] = []
     for kappa in sorted(kappas, reverse=True):
         dt, burn_in = params.resolve(model, kappa)
         row = SweepRow(kappa, float("nan"), trials=params.trials, horizon=params.horizon,
                        dt=dt, burn_in=burn_in)
         with row_failure(row):
-            row.estimate, row.std_error = estimate_stationary_error(model, fv, kappa, **asdict(params))
+            row.estimate, row.std_error = estimate_stationary_error(model, f, kappa, **asdict(params))
         rows.append(row)
     return SweepResult.of(rows, verdict, base)

@@ -16,7 +16,6 @@ from conftest import random_finite_model, random_stable_lg, random_unstable_lg
 from maxacc import (
     FiniteStateModel,
     LinearGaussianModel,
-    TestFunction,
     check_reconstructibility,
     detectability_gain,
     estimate_stationary_error,
@@ -149,7 +148,7 @@ def test_empirical_dichotomy():
         Lambda=np.array([[-2.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]]),
         h=np.array([[0.0], [1.0], [1.0]]),
     )
-    g = TestFunction(np.array([0.0, 1.0, -1.0]), name="state1-vs-state2")
+    g = np.array([0.0, 1.0, -1.0])
     est_hi, se_hi = estimate_stationary_error(
         star, g, 0.1, trials=96, horizon=400.0, seed=0
     )

@@ -92,6 +92,16 @@ class TestZeros:
         assert zero["im"] == pytest.approx(0.0, abs=1e-8)
         assert zero["classification"] == "OPEN_RIGHT"
 
+    def test_unstable_model_is_reduced_with_a_note(self, capsys, tmp_path):
+        doc = json.loads(Path(KS_EXAMPLE).read_text())
+        doc["linear_gaussian"]["A"] = [["1.0", "0.0"], ["0.0", "-4.0"]]
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "zeros", "--model", str(path))
+        assert code == 0
+        validate_report(json.loads(out))
+        assert err == "note: unstable A reduced by output injection\n"
+
     def test_finite_model_rejected(self, capsys):
         code, _, err = run(capsys, "zeros", "--model", TWOSTATE)
         assert code == 1
@@ -208,7 +218,7 @@ class TestSweepFinite:
         assert code in (0, 2)
 
     @pytest.mark.parametrize(
-        "spec", ["indicator:9", "indicator:x", "1.0", "nope", "1.0,2.0,3.0"]
+        "spec", ["indicator:9", "indicator:x", "1.0", "nope", "1.0,2.0,3.0", "nan,1", "inf,0"]
     )
     def test_bad_test_function_is_usage_error(self, capsys, spec):
         code, _, err = run(
@@ -216,6 +226,30 @@ class TestSweepFinite:
         )
         assert code == 1
         assert "usage error" in err
+
+
+    @pytest.mark.parametrize("spec, rule", [
+        ("nan,1", "test function must be a finite 1-d value vector"),
+        ("inf,0", "test function must be a finite 1-d value vector"),
+        ("1,2,3", "test function needs 2 values, got shape (3,)"),
+        ("indicator:2", "indicator index 2 outside 0..1"),
+    ])
+    def test_test_function_rule_is_named_after_the_flag(self, capsys, spec, rule):
+        code, out, err = run(capsys, "sweep", "--model", TWOSTATE, "--kappa", "0.5", "--f", spec)
+        assert (code, out, err) == (1, "", f"usage error: --f: {rule}\n")
+
+    @pytest.mark.parametrize("model, flags, kappas", [
+        (TWOSTATE, ["--trials", "2", "--horizon", "3", "--burn-in", "0"], cli.DEFAULT_KAPPAS_FINITE),
+        (KS_EXAMPLE, [], cli.DEFAULT_KAPPAS_LG),
+    ])
+    def test_default_kappas_without_a_sim_block(self, capsys, tmp_path, model, flags, kappas):
+        doc = json.loads(Path(model).read_text())
+        del doc["sim"]
+        path = tmp_path / "nosim.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "sweep", "--model", str(path), *flags)
+        assert code in (0, 2)
+        assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == kappas
 
 
 class TestSweepLinearGaussian:
@@ -274,6 +308,11 @@ class TestErrors:
         )
         assert code == 1
         assert "usage error" in err
+
+    def test_empty_kappa_list(self, capsys):
+        code, out, err = run(capsys, "sweep", "--model", TWOSTATE, "--kappa", ",")
+        assert (code, out) == (1, "")
+        assert err == "usage error: --kappa needs a comma-separated list of positive finite numbers\n"
 
     def test_negative_kappa(self, capsys):
         code, _, err = run(
@@ -350,12 +389,16 @@ class TestErrors:
         (["report", "{tmp}/bad.csv"], "{tmp}/bad.csv is not a sweep CSV: "
                                       "could not convert string to float: 'abc'"),
         (["report", "{tmp}/empty.csv"], "{tmp}/empty.csv has no plottable rows"),
+        (["report", "{tmp}/ab.csv"], "{tmp}/ab.csv is not a sweep CSV: no 'kappa' column"),
+        (["report", "{tmp}/noest.csv"], "{tmp}/noest.csv is not a sweep CSV: no 'estimate' column"),
     ], ids=["zeros-on-finite", "reverse-on-lg", "report-unreadable", "report-not-sweep-csv",
-            "report-no-rows"])
+            "report-no-rows", "report-no-kappa-column", "report-no-estimate-column"])
     def test_command_input_errors_exit_through_run_command(self, capsys, tmp_path, argv, message):
         """Each command raises; run_command alone prints the prefix and picks the code."""
         (tmp_path / "bad.csv").write_text("kappa,estimate\nabc,1\n")
         (tmp_path / "empty.csv").write_text("kappa,estimate,std_error,flag\n0.1,,,UNDECIDED\n")
+        (tmp_path / "ab.csv").write_text("a,b\n1,2\n")
+        (tmp_path / "noest.csv").write_text("kappa,flag\n0.1,CONSISTENT\n")
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert code == 1
         assert out == ""

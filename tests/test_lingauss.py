@@ -82,6 +82,16 @@ class TestModelValidation:
         LinearGaussianModel(model.A, model.D, model.H)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("draw", [random_stable_lg, random_unstable_lg])
+    def test_building_a_model_decomposes_a_once(self, monkeypatch, draw):
+        """The PBH tests read model.eigs; only construction calls eigvals."""
+        model = draw(np.random.default_rng(7))
+        calls = []
+        original = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M) or original(M))
+        LinearGaussianModel(model.A, model.D, model.H)
+        assert len(calls) == 1
+
     def test_zero_observation_row_rejected(self):
         with pytest.raises(RankDeficientDorH):
             LinearGaussianModel([[1.0]], [[1.0]], [[0.0]])
@@ -364,6 +374,15 @@ class TestDetectabilityGain:
     def test_undetectable_pair_rejected(self):
         with pytest.raises(NotDetectable):
             detectability_gain(np.diag([1.0, 2.0]), np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("A, calls", [(np.diag([-1.0, -2.0]), 1), (np.diag([1.0, -2.0]), 2)])
+    def test_one_eigvals_of_a_serves_both_tests(self, monkeypatch, A, calls):
+        """PBH and margin tests share eigvals(A); an unstable A adds the A - KH check."""
+        seen = []
+        original = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: seen.append(M) or original(M))
+        detectability_gain(A, np.array([[1.0, 1.0]]))
+        assert len(seen) == calls
 
     def test_weights_give_distinct_gains(self):
         A = np.array([[1.0, 0.5], [0.0, 0.8]])

@@ -8,6 +8,7 @@ import pytest
 from maxacc import (
     FiniteStateModel,
     estimate_stationary_error,
+    indicator,
     kappa_sweep_finite,
     run_filter,
     simulate_bundle,
@@ -264,13 +265,49 @@ class TestEstimator:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_raw_test_function_obeys_the_test_function_rule(self, bad):
-        """A raw vector fails as TestFunction fails it, and as kappa_sweep_finite does."""
+        """A raw vector fails the test-function rule in the estimator as in kappa_sweep_finite."""
         f = [bad, 1.0]
         with pytest.raises(ValueError, match="test function must be a finite") as raw:
             estimate_stationary_error(two_state(), f, 0.5, trials=2, horizon=10.0)
         with pytest.raises(ValueError) as swept:
             kappa_sweep_finite(two_state(), f, [0.5], SimParams(trials=2, horizon=10.0))
         assert str(raw.value) == str(swept.value)
+
+    def test_sweep_checks_the_length_of_f_before_any_work(self, monkeypatch):
+        """A wrong-length f fails with the rule's message, not from the verdict or variance."""
+        def no_verdict(model):
+            raise AssertionError("verdict computed for a bad test function")
+
+        monkeypatch.setattr(wonham, "finite_verdict", no_verdict)
+        with pytest.raises(ValueError, match=r"^test function needs 2 values, got shape \(3,\)$"):
+            kappa_sweep_finite(two_state(), np.zeros(3), [0.5], SimParams(trials=2, horizon=5.0))
+
+    @pytest.mark.parametrize("i", [-1, 2, 5])
+    def test_indicator_index_out_of_range(self, i):
+        with pytest.raises(ValueError, match=rf"^indicator index {i} outside 0..1$"):
+            indicator(i, 2)
+
+    @pytest.mark.parametrize("Lambda", [
+        [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]],   # state 2 transient
+        [[-1.0, 0.0, 1.0], [1.0, -2.0, 1.0], [1.0, 0.0, -1.0]],   # state 1 transient
+        [[0.0, 0.0], [3.0, -3.0]],                                # absorbing state 0
+    ])
+    def test_start_state_is_drawn_as_choice_draws_it(self, monkeypatch, Lambda):
+        """The bisected start state and the generator after it are those of rng.choice(d, p=pi)."""
+        model = FiniteStateModel(Lambda, np.zeros(len(Lambda)))
+        assert np.min(model.pi) == 0.0
+        starts = []
+
+        def record(L, x0, horizon, rng):
+            starts.append((x0, rng.bit_generator.state))
+            return np.zeros(1), np.array([x0])
+
+        monkeypatch.setattr(wonham, "sample_path", record)
+        for seed in range(3):
+            for trial in range(40):
+                wonham._trial_path(model, seed, trial, 1.0)
+                rng = np.random.default_rng([seed, trial, 0])
+                assert starts.pop() == (int(rng.choice(model.d, p=model.pi)), rng.bit_generator.state)
 
     def test_step_budget_is_an_error_before_simulation(self, monkeypatch):
         def no_simulation(*args, **kwargs):
