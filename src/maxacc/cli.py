@@ -191,8 +191,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.csv)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text))
     for column in ("kappa", "estimate"):

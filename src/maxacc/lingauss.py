@@ -426,7 +426,9 @@ def reduce_unstable(
     if gain is None:
         if model.stable:
             return model
-        gain = detectability_gain(model.A, model.H)
+        # detectability_gain has checked that this very A - KH is stable.
+        K = detectability_gain(model.A, model.H)
+        return LinearGaussianModel(model.A - K @ model.H, model.D, model.H)
     K = np.atleast_2d(np.asarray(gain, dtype=float))
     if K.shape != (model.p, model.n):
         raise DimensionMismatch(f"gain must be {model.p} x {model.n}, got {K.shape}")

@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,6 +123,9 @@ REPORT_SCHEMA: dict = {
 }
 
 
+_SCHEMAS = {"model": MODEL_FILE_SCHEMA, "report": REPORT_SCHEMA}
+
+
 @functools.cache
 def _validator(name: str):
     """Validator for MODEL_FILE_SCHEMA ("model") or REPORT_SCHEMA ("report").
@@ -129,14 +133,106 @@ def _validator(name: str):
     Built on first use and kept for the process, so the schema is checked
     against its draft's metaschema once rather than once per document.
     """
-    schema = {"model": MODEL_FILE_SCHEMA, "report": REPORT_SCHEMA}[name]
+    schema = _SCHEMAS[name]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
 
 
+# The keywords _compile knows. Any other raises, so that a schema edit cannot
+# quietly widen what the compiled check accepts.
+_KEYWORDS = frozenset({
+    "$schema", "title", "type", "const", "enum", "required", "properties",
+    "additionalProperties", "items", "minItems", "minimum", "pattern",
+})
+_JSON_TYPES = {
+    "object": (dict,), "array": (list,), "string": (str,), "number": (int, float),
+    "integer": (int,), "boolean": (bool,), "null": (type(None),),
+}
+_SCALARS = (str, int, float)
+
+
+def _compile(schema: dict):
+    """A predicate that holds only for plain JSON documents the schema accepts.
+
+    It is sound, not complete: False means "ask jsonschema", never "invalid".
+    Values are tested with type(x) is, so a bool is never a number, and a
+    numpy scalar, a tuple or a dict subclass is always left to jsonschema.
+    Integral floats count as integers, as in draft 6 and later.
+    """
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise ValueError(f"no compiled check for schema keywords {sorted(unknown)}")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError("no compiled check for additionalProperties other than false")
+    names = schema.get("type", list(_JSON_TYPES))
+    names = [names] if isinstance(names, str) else names
+    types = frozenset(t for name in names for t in _JSON_TYPES[name])
+    integral = "integer" in names and "number" not in names
+
+    checks = [lambda x: type(x) in types or (integral and type(x) is float and x.is_integer())]
+    for keyword in ("const", "enum"):
+        if keyword in schema:
+            values = [schema["const"]] if keyword == "const" else schema["enum"]
+            if any(type(v) not in _SCALARS for v in values):
+                raise ValueError(f"no compiled check for {keyword} {values!r}")
+            checks.append(lambda x, values=values: type(x) in _SCALARS and x in values)
+    if "pattern" in schema:
+        search = re.compile(schema["pattern"]).search  # re.search, as jsonschema does
+        checks.append(lambda x: type(x) is not str or search(x) is not None)
+    if "minimum" in schema:
+        low = schema["minimum"]
+        checks.append(lambda x: type(x) not in (int, float) or x >= low)
+    if "minItems" in schema:
+        size = schema["minItems"]
+        checks.append(lambda x: type(x) is not list or len(x) >= size)
+    if "items" in schema:
+        item = _compile(schema["items"])
+        checks.append(lambda x: type(x) is not list or all(map(item, x)))
+    if "required" in schema:
+        required = frozenset(schema["required"])
+        checks.append(lambda x: type(x) is not dict or x.keys() >= required)
+    if "properties" in schema or "additionalProperties" in schema:
+        properties = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
+        closed = "additionalProperties" in schema
+
+        def members_ok(x) -> bool:
+            if type(x) is not dict:
+                return True
+            for key, value in x.items():
+                check = properties.get(key)
+                if check is None:
+                    if closed:
+                        return False
+                elif not check(value):
+                    return False
+            return True
+
+        checks.append(members_ok)
+
+    def accepts(x) -> bool:
+        for check in checks:
+            if not check(x):
+                return False
+        return True
+
+    return accepts
+
+
+@functools.cache
+def _accepts(name: str):
+    """The compiled check of MODEL_FILE_SCHEMA ("model") or REPORT_SCHEMA ("report")."""
+    return _compile(_SCHEMAS[name])
+
+
 def _schema_error(name: str, doc: dict):
-    """The error jsonschema.validate(doc, schema) would raise, or None."""
+    """The error jsonschema.validate(doc, schema) would raise, or None.
+
+    A document the compiled check accepts is valid and never reaches
+    jsonschema; jsonschema judges every other one, so every message is its own.
+    """
+    if _accepts(name)(doc):
+        return None
     return jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
 
 
@@ -267,8 +363,8 @@ def _build_sim(node: dict) -> SimSpec:
 def parse_model_file(path: str | Path) -> ParsedModelFile:
     """Read, decode, and validate a model file from disk."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")  # JSON text is UTF-8 (RFC 8259)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)

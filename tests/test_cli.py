@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -14,6 +17,7 @@ from maxacc import cli, errors, model_hash, parse_model_file, validate_report
 from maxacc.cli import run_command
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+SRC_DIR = MODELS_DIR.parent / "src"
 TWOSTATE = str(MODELS_DIR / "twostate.json")
 CONSTANT_OBS = str(MODELS_DIR / "constant_obs.json")
 KS_EXAMPLE = str(MODELS_DIR / "ks_example.json")
@@ -391,10 +395,18 @@ class TestErrors:
         (["report", "{tmp}/empty.csv"], "{tmp}/empty.csv has no plottable rows"),
         (["report", "{tmp}/ab.csv"], "{tmp}/ab.csv is not a sweep CSV: no 'kappa' column"),
         (["report", "{tmp}/noest.csv"], "{tmp}/noest.csv is not a sweep CSV: no 'estimate' column"),
+        (["report", "{tmp}/latin1.csv"], "cannot read {tmp}/latin1.csv: 'utf-8' codec can't decode "
+                                         "byte 0xe9 in position 29: invalid continuation byte"),
+        (["analyze", "--model", "{tmp}/latin1.json"], "cannot read {tmp}/latin1.json: 'utf-8' codec "
+                                                      "can't decode byte 0xe9 in position 13: invalid "
+                                                      "continuation byte"),
     ], ids=["zeros-on-finite", "reverse-on-lg", "report-unreadable", "report-not-sweep-csv",
-            "report-no-rows", "report-no-kappa-column", "report-no-estimate-column"])
+            "report-no-rows", "report-no-kappa-column", "report-no-estimate-column",
+            "report-not-utf8", "analyze-not-utf8"])
     def test_command_input_errors_exit_through_run_command(self, capsys, tmp_path, argv, message):
         """Each command raises; run_command alone prints the prefix and picks the code."""
+        (tmp_path / "latin1.csv").write_bytes(b"kappa,estimate,flag\n0.1,1,caf\xe9\n")
+        (tmp_path / "latin1.json").write_bytes(b'{"type": "caf\xe9"}')
         (tmp_path / "bad.csv").write_text("kappa,estimate\nabc,1\n")
         (tmp_path / "empty.csv").write_text("kappa,estimate,std_error,flag\n0.1,,,UNDECIDED\n")
         (tmp_path / "ab.csv").write_text("a,b\n1,2\n")
@@ -434,6 +446,36 @@ class TestErrors:
         code, _, err = run(capsys, "analyze", "--model", TWOSTATE)
         assert code == expected
         assert err == f"{PREFIXES[expected]} boom\n"
+
+
+class TestLocale:
+    """Model files and sweep CSVs are read as UTF-8 whatever the locale says."""
+
+    def stderr(self, tmp_path, utf8: bool, *argv: str) -> bytes:
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="1" if utf8 else "0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "maxacc.cli", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 1
+        return proc.stderr
+
+    def test_undecodable_file_reads_the_same_under_the_c_locale(self, tmp_path):
+        (tmp_path / "latin1.json").write_bytes(b'{"type": "caf\xe9"}')
+        (tmp_path / "latin1.csv").write_bytes(b"kappa,estimate,flag\n0.1,1,caf\xe9\n")
+        for argv in (["analyze", "--model", "latin1.json"], ["report", "latin1.csv"]):
+            err = self.stderr(tmp_path, True, *argv)
+            assert err.startswith(b"error: cannot read latin1.")
+            assert self.stderr(tmp_path, False, *argv) == err
+
+    def test_non_ascii_entry_gets_the_schema_message_under_the_c_locale(self, tmp_path):
+        doc = json.loads(Path(TWOSTATE).read_text())
+        doc["finite"]["lambda"][0][1] = "\u0661.5"
+        (tmp_path / "digit.json").write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        utf8 = self.stderr(tmp_path, True, "analyze", "--model", "digit.json").decode("utf-8")
+        assert utf8.startswith("error: $.finite.lambda[0][1]: '\u0661.5' does not match ")
+        # An ASCII stderr escapes the digit; the message is otherwise the same.
+        c_locale = self.stderr(tmp_path, False, "analyze", "--model", "digit.json").decode("ascii")
+        assert c_locale == utf8.encode("ascii", "backslashreplace").decode("ascii")
 
 
 class TestReport:

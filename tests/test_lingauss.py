@@ -406,6 +406,16 @@ class TestReduceUnstable:
         assert np.array_equal(reduced.D, model.D)
         assert np.array_equal(reduced.H, model.H)
 
+    def test_computed_gain_checks_a_minus_kh_once(self, monkeypatch):
+        """eigvals(A), the gain's stability check, then the reduced model's own eigs."""
+        model = LinearGaussianModel(np.diag([1.0, -4.0]), [[1.0], [1.0]], [[1.0, -2.0]])
+        seen = []
+        original = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: seen.append(M) or original(M))
+        reduced = reduce_unstable(model)
+        assert len(seen) == 3
+        assert np.array_equal(seen[1], reduced.A) and np.array_equal(seen[2], reduced.A)
+
     def test_explicit_gain_applied(self):
         model = LinearGaussianModel([[1.0]], [[1.0]], [[1.0]])
         reduced = reduce_unstable(model, gain=np.array([[3.0]]))

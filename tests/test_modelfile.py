@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -21,11 +24,14 @@ from maxacc import (
     serialize_model,
     validate_report,
 )
+from maxacc import modelfile
+from maxacc.cli import run_command
 from maxacc.errors import MaxaccError, ModelInvariantError, ParseError, SchemaError
 from maxacc.modelfile import MODEL_FILE_SCHEMA, REPORT_SCHEMA, ParsedModelFile, SimSpec
 from oracles import ANYOF_MODEL_FILE_SCHEMA, ANYOF_REPORT_SCHEMA
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+SRC_DIR = MODELS_DIR.parent / "src"
 
 FINITE_DOC = {
     "schema_version": 1,
@@ -349,16 +355,75 @@ class TestNumberEncoding:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_ENTRY)
     def test_every_entry_agrees_at_each_number_site(self, entry):
-        docs = {
-            "model": [
-                dict(FINITE_DOC, finite=dict(FINITE_DOC["finite"], h=[["0"], [entry]])),
-                dict(FINITE_DOC, sim={"horizon": entry}),
-            ],
-            "report": [dict(GOOD_BUNDLE, lambda_tilde=[["1", entry]])],
-        }
-        for name, group in docs.items():
+        for name, group in _number_site_docs(entry).items():
             for doc in group:
                 assert _SHIPPED[name].is_valid(doc) == _ANYOF[name].is_valid(doc), doc
+
+
+def _number_site_docs(entry) -> dict:
+    """Documents that hold entry where each schema expects a number."""
+    return {
+        "model": [
+            dict(FINITE_DOC, finite=dict(FINITE_DOC["finite"], h=[["0"], [entry]])),
+            dict(FINITE_DOC, sim={"horizon": entry}),
+        ],
+        "report": [dict(GOOD_BUNDLE, lambda_tilde=[["1", entry]])],
+    }
+
+
+def _via_json(doc):
+    return json.loads(json.dumps(doc))
+
+
+class TestCompiledCheck:
+    """The compiled schema checks accept only what jsonschema accepts, and every valid model file."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_model_docs())
+    def test_model_docs(self, doc):
+        doc = _via_json(doc)
+        assert modelfile._accepts("model")(doc) == _SHIPPED["model"].is_valid(doc)
+        assert not modelfile._accepts("report")(doc) or _SHIPPED["report"].is_valid(doc)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_JSON)
+    def test_any_json(self, doc):
+        doc = _via_json(doc)
+        for name, validator in _SHIPPED.items():
+            assert not modelfile._accepts(name)(doc) or validator.is_valid(doc)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_ENTRY)
+    def test_every_entry_at_each_number_site(self, entry):
+        for name, group in _number_site_docs(entry).items():
+            for doc in map(_via_json, group):
+                assert modelfile._accepts(name)(doc) == _SHIPPED[name].is_valid(doc), doc
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "integer", "maximum": 3},
+        {"type": "object", "properties": {"x": {"items": {"format": "date"}}}},
+        {"type": "object", "additionalProperties": {"type": "string"}},
+    ])
+    def test_unknown_keyword_does_not_compile(self, schema):
+        with pytest.raises(ValueError, match="no compiled check"):
+            modelfile._compile(schema)
+
+    def test_valid_documents_never_reach_jsonschema(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(jsonschema.exceptions, "best_match", calls.append)
+        for path in sorted(MODELS_DIR.glob("*.json")):
+            assert run_command(["analyze", "--model", str(path)]) == 0
+        validate_report(GOOD_BUNDLE)
+        capsys.readouterr()
+        assert calls == []
+
+    def test_import_builds_no_check(self):
+        code = ("import maxacc.cli, maxacc.modelfile as m; "
+                "print(m._validator.cache_info().currsize, m._accepts.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert proc.stdout == "0 0\n"
 
 
 class TestModelInvariants:
