@@ -2,8 +2,12 @@
 
 Exit codes: 0 success, 1 invalid model or input, 2 undecided verdict or a
 sweep whose empirical trend does not confirm the algebraic verdict, 3
-internal numerical failure. Diagnostics go to standard error; artifacts go
-to --out paths or standard output.
+internal numerical failure. One table, EXITS, maps each failure's exception
+class to its code and standard-error prefix. Invalid input includes an output
+path that cannot be written ("cannot write <path>: ...") and a report CSV row
+whose kappa, estimate or std_error cannot be plotted ("<path> line N: ...").
+Diagnostics go to standard error; artifacts go to --out paths or standard
+output, written as UTF-8.
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ import datetime
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .errors import MaxaccError
+from . import __version__, errors
 from .finite_analysis import finite_verdict
 from .lingauss import kappa_sweep_lg, ks_check, reduce_unstable, transmission_zeros
 from .markov import reduce_support, time_reverse
@@ -32,7 +36,6 @@ from .wonham import SimParams, check_kappa, kappa_sweep_finite
 
 DEFAULT_KAPPAS_FINITE = [0.5, 0.1, 0.02]
 DEFAULT_KAPPAS_LG = [0.1, 0.01, 0.001, 0.0001]
-EXIT_PREFIX = {1: "error:", 2: "undecided:", 3: "numerical failure:"}
 SIM_FLAGS = tuple(f.name for f in fields(SimParams))  # flags named after the SimParams fields
 
 
@@ -45,30 +48,42 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _provenance(seed: int | None) -> dict:
-    return {
+# Exit code and standard-error prefix of every command failure. run_command takes
+# the first class of the exception's MRO listed here, so LinAlgError (a ValueError)
+# exits 3; an exception of no listed class is a bug and keeps its traceback.
+EXITS: dict[type[Exception], tuple[int, str]] = {
+    _UsageError: (1, "usage error:"),
+    **dict.fromkeys((
+        ValueError, errors.ParseError, errors.SchemaError, errors.ModelInvariantError,
+        errors.NotRateMatrix, errors.NotUniqueStationary, errors.ZeroSupport,
+        errors.DimensionMismatch, errors.RankDeficientDorH, errors.NotDetectable,
+        errors.NotDetectableOrStabilizable,
+    ), (1, "error:")),
+    errors.IllConditionedPencil: (2, "undecided:"),
+    **dict.fromkeys((errors.MaxaccError, np.linalg.LinAlgError), (3, "numerical failure:")),
+}
+
+
+def _emit(text: str, out: str | None) -> None:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from exc
+
+
+def _emit_bundle(out: str | None, parsed: ParsedModelFile, seed: int | None = None, **sections) -> None:
+    """Write a command's report bundle as JSON, once it passes the report schema."""
+    provenance = {
         "tool": "maxacc",
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": seed,
     }
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _bundle(parsed: ParsedModelFile, seed: int | None = None, **sections) -> dict:
-    bundle = {
-        "schema_version": 1,
-        "model_hash": model_hash(parsed),
-        "provenance": _provenance(seed),
-    }
-    bundle.update(sections)
-    return validate_report(bundle)
+    bundle = {"schema_version": 1, "model_hash": model_hash(parsed), "provenance": provenance, **sections}
+    _emit(json.dumps(validate_report(bundle), indent=2) + "\n", out)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -77,8 +92,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         verdict = finite_verdict(parsed.model)
     else:
         verdict = ks_check(parsed.model)
-    bundle = _bundle(parsed, verdict=verdict.to_dict())
-    _emit(json.dumps(bundle, indent=2) + "\n", args.out)
+    _emit_bundle(args.out, parsed, verdict=verdict.to_dict())
     return 0
 
 
@@ -90,8 +104,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
     if not parsed.model.stable:
         print("note: unstable A reduced by output injection", file=sys.stderr)
     report = transmission_zeros(model)
-    bundle = _bundle(parsed, zero_report=report.to_dict())
-    _emit(json.dumps(bundle, indent=2) + "\n", args.out)
+    _emit_bundle(args.out, parsed, zero_report=report.to_dict())
     return 0
 
 
@@ -102,10 +115,7 @@ def _cmd_reverse(args: argparse.Namespace) -> int:
     reduced = reduce_support(parsed.model)
     tilde = time_reverse(reduced)
     if args.json:
-        bundle = _bundle(
-            parsed, lambda_tilde=[[repr(float(v)) for v in row] for row in tilde]
-        )
-        _emit(json.dumps(bundle, indent=2) + "\n", args.out)
+        _emit_bundle(args.out, parsed, lambda_tilde=[[repr(float(v)) for v in row] for row in tilde])
     else:
         lines = [" ".join(repr(float(v)) for v in row) for row in tilde]
         _emit("\n".join(lines) + "\n", args.out)
@@ -170,15 +180,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"note: --{name.replace('_', '-')} ignored for linear_gaussian sweeps", file=sys.stderr)
         result = kappa_sweep_lg(parsed.model, kappas)
 
+    if args.json:  # before the CSV, so a bundle that fails leaves no table behind
+        _emit_bundle(args.json, parsed, params.seed if parsed.kind == "finite" else None,
+                     verdict=result.verdict_reference.to_dict(), sweep=result.to_dict())
     _emit(result.to_csv(), args.out)
-    if args.json:
-        bundle = _bundle(
-            parsed,
-            seed=params.seed if parsed.kind == "finite" else None,
-            verdict=result.verdict_reference.to_dict(),
-            sweep=result.to_dict(),
-        )
-        Path(args.json).write_text(json.dumps(bundle, indent=2) + "\n")
     for row in result.rows:
         if row.status != "ok":
             print(f"note: kappa={row.kappa:g}: {row.status}", file=sys.stderr)
@@ -195,25 +200,39 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text))
+    try:
+        columns = reader.fieldnames or ()
+        records = [(reader.line_num, rec) for rec in reader]
+    except csv.Error as exc:
+        raise ValueError(f"{path} is not a sweep CSV: {exc}") from exc
     for column in ("kappa", "estimate"):
-        if column not in (reader.fieldnames or ()):
+        if column not in columns:
             raise ValueError(f"{path} is not a sweep CSV: no {column!r} column")
     rows: list[tuple[float, float, float | None]] = []
     flag = ""
-    try:
-        for rec in reader:
-            flag = rec.get("flag", "") or flag
-            if not rec.get("estimate"):
-                continue
-            se = rec.get("std_error") or None
-            rows.append(
-                (float(rec["kappa"]), float(rec["estimate"]), float(se) if se else None)
-            )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path} is not a sweep CSV: {exc}") from exc
+    for line, rec in records:
+        flag = rec.get("flag", "") or flag
+        if not rec.get("estimate"):
+            continue
+        try:
+            se = rec.get("std_error")
+            kappa, est, se = float(rec["kappa"]), float(rec["estimate"]), float(se) if se else None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path} is not a sweep CSV: {exc}") from exc
+        try:  # what render_sweep_svg can draw; sweep --trials 1 writes std_error nan
+            check_kappa(kappa)
+            if not math.isfinite(est):
+                raise ValueError(f"estimate must be finite, got {est:g}")
+            if se is not None and not (math.isnan(se) or 0 <= se < math.inf):
+                raise ValueError(f"std_error must be empty, nan, or finite and >= 0, got {se:g}")
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line}: {exc}") from exc
+        rows.append((kappa, est, se))
     if not rows:
         raise ValueError(f"{path} has no plottable rows")
-    svg = render_sweep_svg(rows, title=path.name, flag=flag)
+    # Outside a UTF-8 locale argv keeps non-ASCII bytes as surrogates: show them as UTF-8.
+    title = path.name.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+    svg = render_sweep_svg(rows, title=title, flag=flag)
     _emit(svg, args.out or str(path.with_suffix(".svg")))
     return 0
 
@@ -261,23 +280,18 @@ def _build_parser() -> _Parser:
 
 
 def run_command(argv: list[str] | None = None) -> int:
-    """Parse argv, dispatch, and map failures to documented exit codes."""
+    """Parse argv, dispatch, and map a failure to its exit code through EXITS."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except MaxaccError as exc:
-        print(f"{EXIT_PREFIX[exc.exit_code]} {exc}", file=sys.stderr)
-        return exc.exit_code
-    except np.linalg.LinAlgError as exc:  # before ValueError, its base class
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        found = next((EXITS[cls] for cls in type(exc).__mro__ if cls in EXITS), None)
+        if found is None:
+            raise
+        code, prefix = found
+        print(f"{prefix} {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

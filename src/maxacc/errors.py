@@ -2,8 +2,7 @@
 
 
 class MaxaccError(Exception):
-    """Base class for all errors raised by this package; exit_code is the CLI exit status."""
-    exit_code = 3
+    """Base class for all errors raised by this package."""
 
 
 # ---------------------------------------------------------------------------
@@ -12,21 +11,14 @@ class MaxaccError(Exception):
 
 class NotRateMatrix(MaxaccError):
     """Matrix is not a valid generator: negative off-diagonal entry or row sum != 0."""
-    exit_code = 1
 
 
 class NotUniqueStationary(MaxaccError):
     """The chain has more than one stationary law (reducible with several closed classes)."""
-    exit_code = 1
-
-
-class EmptySupport(MaxaccError):
-    """Support reduction removed every state; the stationary law was numerically invalid."""
 
 
 class ZeroSupport(MaxaccError):
     """Operation requires a strictly positive stationary law; reduce support first."""
-    exit_code = 1
 
 
 class DegenerateWeight(MaxaccError):
@@ -39,12 +31,10 @@ class DegenerateWeight(MaxaccError):
 
 class DimensionMismatch(MaxaccError):
     """Matrix shapes are inconsistent with a p-state, m-noise, n-observation model."""
-    exit_code = 1
 
 
 class RankDeficientDorH(MaxaccError):
     """D must have independent columns and H independent rows."""
-    exit_code = 1
 
 
 class NotStable(MaxaccError):
@@ -53,12 +43,10 @@ class NotStable(MaxaccError):
 
 class NotDetectable(MaxaccError):
     """(A, H) is not detectable; no output injection can stabilize A - KH."""
-    exit_code = 1
 
 
 class NotDetectableOrStabilizable(MaxaccError):
     """Model violates the standing assumptions: A unstable and not reducible to a stable model."""
-    exit_code = 1
 
 
 class SingularShift(MaxaccError):
@@ -67,7 +55,6 @@ class SingularShift(MaxaccError):
 
 class IllConditionedPencil(MaxaccError):
     """Zero certification is ambiguous: singular values fall inside the tolerance band."""
-    exit_code = 2
 
 
 class NoStabilizingSolution(MaxaccError):
@@ -80,14 +67,11 @@ class NoStabilizingSolution(MaxaccError):
 
 class ParseError(MaxaccError):
     """Model file is not well-formed structured text."""
-    exit_code = 1
 
 
 class SchemaError(MaxaccError):
     """Model file does not match the published schema."""
-    exit_code = 1
 
 
 class ModelInvariantError(MaxaccError):
     """Model file parsed but the described model violates an invariant; names the field."""
-    exit_code = 1

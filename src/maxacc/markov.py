@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySupport, NotRateMatrix, NotUniqueStationary, ZeroSupport
+from .errors import NotRateMatrix, NotUniqueStationary, ZeroSupport
 
 RATE_TOL = 1e-12        # row-sum / nonnegativity tolerance for generators
 NULLITY_TOL = 1e-10     # singular-value cutoff for stationary-law uniqueness
@@ -118,13 +118,12 @@ class FiniteStateModel:
 def reduce_support(model: FiniteStateModel) -> FiniteStateModel:
     """Restrict the model to {i : pi_i > SUPPORT_TOL}, dropping transient states.
 
-    Returns the model unchanged when every state carries mass. The restricted
-    generator is re-validated: leaving the support has probability zero under
-    pi, so restricted rows still sum to zero up to round-off.
+    Returns the model unchanged when every state carries mass. pi sums to 1,
+    so its largest entry is at least 1/d and the support is never empty. The
+    restricted generator is re-validated: leaving the support has probability
+    zero under pi, so restricted rows still sum to zero up to round-off.
     """
     keep = model.pi > SUPPORT_TOL
-    if not np.any(keep):
-        raise EmptySupport("support reduction removed every state")
     if np.all(keep):
         return model
     idx = np.flatnonzero(keep)

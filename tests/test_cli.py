@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from maxacc import cli, errors, model_hash, parse_model_file, validate_report
 from maxacc.cli import run_command
@@ -36,13 +38,13 @@ EXIT_CODES = {
     "NotDetectable": 1,
     "ZeroSupport": 1,
     "IllConditionedPencil": 2,
-    "EmptySupport": 3,
     "DegenerateWeight": 3,
     "NotStable": 3,
     "SingularShift": 3,
     "NoStabilizingSolution": 3,
 }
 PREFIXES = {1: "error:", 2: "undecided:", 3: "numerical failure:"}
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -400,9 +402,24 @@ class TestErrors:
         (["analyze", "--model", "{tmp}/latin1.json"], "cannot read {tmp}/latin1.json: 'utf-8' codec "
                                                       "can't decode byte 0xe9 in position 13: invalid "
                                                       "continuation byte"),
+        (["analyze", "--model", TWOSTATE, "--out", "{tmp}/missing/x.json"],
+         "cannot write {tmp}/missing/x.json: [Errno 2] No such file or directory: '{tmp}/missing/x.json'"),
+        (["sweep", "--model", KS_EXAMPLE, "--json", "{tmp}/missing/x.json"],
+         "cannot write {tmp}/missing/x.json: [Errno 2] No such file or directory: '{tmp}/missing/x.json'"),
+        (["report", "{tmp}/kappa0.csv"], "{tmp}/kappa0.csv line 3: kappa must be positive and finite, got 0"),
+        (["report", "{tmp}/kappanan.csv"], "{tmp}/kappanan.csv line 3: kappa must be positive and finite, got nan"),
+        (["report", "{tmp}/estinf.csv"], "{tmp}/estinf.csv line 3: estimate must be finite, got inf"),
+        (["report", "{tmp}/seneg.csv"],
+         "{tmp}/seneg.csv line 3: std_error must be empty, nan, or finite and >= 0, got -1"),
+        (["report", "{tmp}/seinf.csv"],
+         "{tmp}/seinf.csv line 3: std_error must be empty, nan, or finite and >= 0, got inf"),
+        (["report", "{tmp}/huge.csv"],
+         "{tmp}/huge.csv is not a sweep CSV: field larger than field limit (131072)"),
     ], ids=["zeros-on-finite", "reverse-on-lg", "report-unreadable", "report-not-sweep-csv",
             "report-no-rows", "report-no-kappa-column", "report-no-estimate-column",
-            "report-not-utf8", "analyze-not-utf8"])
+            "report-not-utf8", "analyze-not-utf8", "analyze-out-unwritable", "sweep-json-unwritable",
+            "report-kappa-zero", "report-kappa-nan", "report-estimate-inf", "report-std-error-negative",
+            "report-std-error-inf", "report-field-too-large"])
     def test_command_input_errors_exit_through_run_command(self, capsys, tmp_path, argv, message):
         """Each command raises; run_command alone prints the prefix and picks the code."""
         (tmp_path / "latin1.csv").write_bytes(b"kappa,estimate,flag\n0.1,1,caf\xe9\n")
@@ -411,6 +428,10 @@ class TestErrors:
         (tmp_path / "empty.csv").write_text("kappa,estimate,std_error,flag\n0.1,,,UNDECIDED\n")
         (tmp_path / "ab.csv").write_text("a,b\n1,2\n")
         (tmp_path / "noest.csv").write_text("kappa,flag\n0.1,CONSISTENT\n")
+        for name, row in [("kappa0", "0,1,"), ("kappanan", "nan,1,"), ("estinf", "0.1,inf,"),
+                          ("seneg", "0.1,1,-1"), ("seinf", "0.1,1,inf")]:
+            (tmp_path / f"{name}.csv").write_text(f"kappa,estimate,std_error\n0.2,1,0.1\n{row}\n")
+        (tmp_path / "huge.csv").write_text("kappa,estimate\n0.1," + "9" * 200_000 + "\n")
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert code == 1
         assert out == ""
@@ -427,7 +448,6 @@ class TestErrors:
     @pytest.mark.parametrize("name", sorted(EXIT_CODES))
     def test_error_exit_code_and_prefix(self, capsys, monkeypatch, name):
         cls = getattr(errors, name)
-        assert cls.exit_code == EXIT_CODES[name]
 
         def fail(path):
             raise cls("boom")
@@ -477,6 +497,17 @@ class TestLocale:
         c_locale = self.stderr(tmp_path, False, "analyze", "--model", "digit.json").decode("ascii")
         assert c_locale == utf8.encode("ascii", "backslashreplace").decode("ascii")
 
+    def test_report_of_a_non_ascii_csv_name_under_the_c_locale(self, tmp_path):
+        """The SVG is UTF-8 and its title is the CSV's name, whatever the locale."""
+        assert run_command(["sweep", "--model", KS_EXAMPLE, "--out", str(tmp_path / "caf\u00e9.csv")]) == 0
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "maxacc.cli", "report", "caf\u00e9.csv"], env=env,
+                              cwd=tmp_path, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        title = ET.parse(tmp_path / "caf\u00e9.svg").getroot().find(f"{SVG}text")
+        assert title.text == "caf\u00e9.csv"
+
 
 class TestReport:
     def render(self, capsys, tmp_path, model: str, *sweep_args: str) -> Path:
@@ -515,6 +546,52 @@ class TestReport:
     def test_missing_csv(self, capsys):
         code, _, err = run(capsys, "report", "/nonexistent.csv")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "row", ["0.1,1e308,", "0.1,1,1e308", "0.1,-1e308,1e308", "1e308,1,", "5e-324,5e-324,5e-324"]
+    )
+    def test_extreme_finite_rows_render(self, capsys, tmp_path, row):
+        """Any finite row fits the chart; the std_error nan that sweep --trials 1 writes draws no whisker."""
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text(f"kappa,estimate,std_error,flag\n0.2,0.5,nan,UNDECIDED\n{row},UNDECIDED\n")
+        code, out, err = run(capsys, "report", str(csv_path))
+        assert (code, out, err) == (0, "", "")
+        root = ET.parse(tmp_path / "s.svg").getroot()
+        se = float(row.split(",")[2] or 0)
+        assert len(root.findall(f"{SVG}line[@stroke='#c33']")) == (se > 0)
+        assert len(root.findall(f"{SVG}circle")) == 2
+
+    def test_markup_in_the_flag_is_escaped(self, capsys, tmp_path):
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text("kappa,estimate,std_error,flag\n0.1,0.5,,<A & B>\n")
+        assert run(capsys, "report", str(csv_path)) == (0, "", "")
+        texts = [t.text for t in ET.parse(tmp_path / "s.svg").getroot().iter(f"{SVG}text")]
+        assert texts[:2] == ["s.csv", "<A & B>"]
+
+    _CELL = st.one_of(
+        st.just(""),
+        st.sampled_from([0.0, -0.0, -1.0, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308]).map(repr),
+        st.floats().map(repr),
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(_CELL, _CELL, _CELL), min_size=1, max_size=4))
+    def test_report_never_raises_past_run_command(self, capsys, tmp_path, rows):
+        """Whatever floats a sweep CSV holds, report draws a chart or names the bad value."""
+        csv_path = tmp_path / "prop.csv"
+        svg_path = tmp_path / "prop.svg"
+        svg_path.unlink(missing_ok=True)
+        lines = ["kappa,estimate,std_error,flag", *(",".join((*cells, "UNDECIDED")) for cells in rows)]
+        csv_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "report", str(csv_path))
+        assert out == ""
+        if code == 0:
+            assert err == ""
+            assert ET.parse(svg_path).getroot().tag == f"{SVG}svg"
+        else:
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEndToEnd:
