@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
+from .deferred import DeferredModule
 from .errors import (
     DimensionMismatch,
     IllConditionedPencil,
@@ -47,6 +47,8 @@ from .verdicts import (
     row_failure,
 )
 from .wonham import check_kappa
+
+sla = DeferredModule("scipy.linalg")  # bench/spans.py and the tests wrap names on it
 
 RANK_TOL = 1e-9             # relative singular-value cutoff for rank decisions
 BOUNDARY_BAND = 1e-8        # |Re lam| below this: boundary zero, does not fail the test

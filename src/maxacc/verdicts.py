@@ -36,13 +36,23 @@ PLATEAU_FLOOR = 0.1         # plateau level above this fraction of the base vari
 EXACT_HALF_WIDTH = 0.0125   # synthetic relative half-width for exact (Riccati) rows
 
 
+# Largest |f(i)| a test function may take. A squared error is at most
+# (2 F_MAX)^2, and a sweep row sums at most wonham.TRIAL_STEP_BUDGET (1e10) of
+# them and squares per-trial means for its standard error, so every sum stays
+# finite: (2 F_MAX)^4 * 1e10 is about 1.6e291.
+F_MAX = 1e70
+
+
 def check_test_function(f: np.ndarray, d: int) -> np.ndarray:
-    """The one test-function rule: f: states -> R is a finite 1-d vector of d values."""
+    """The one test-function rule: f: states -> R is a 1-d vector of d values within +-F_MAX."""
     v = np.asarray(f, dtype=float)
     if v.ndim != 1 or not np.all(np.isfinite(v)):
         raise ValueError("test function must be a finite 1-d value vector")
     if v.shape != (d,):
         raise ValueError(f"test function needs {d} values, got shape {v.shape}")
+    peak = float(np.abs(v).max(initial=0.0))
+    if peak > F_MAX:
+        raise ValueError(f"test function values must be at most {F_MAX:g} in absolute value, got {peak:g}")
     return v
 
 

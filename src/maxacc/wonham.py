@@ -23,12 +23,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
+from .deferred import DeferredModule
 from .errors import DegenerateWeight
 from .finite_analysis import finite_verdict
 from .markov import FiniteStateModel, check_positive, choice_cdf, integrated_observation, sample_path, state_at
 from .verdicts import SweepResult, SweepRow, check_test_function, row_failure
+
+sla = DeferredModule("scipy.linalg")  # imported by the first transition matrix
 
 BLOCK_STEPS = 16384         # grid steps precomputed per vectorized block
 CHUNK_TRIALS = 64           # trials per work item; fixed so results never depend on pool size
@@ -106,7 +108,7 @@ def auto_burn_in(model: FiniteStateModel) -> float:
 
 def _transition(model: FiniteStateModel, dt: float) -> np.ndarray:
     """One-step transition matrix exp(Lambda dt), clipped back onto row-stochastic form."""
-    T = expm(model.Lambda * dt)
+    T = sla.expm(model.Lambda * dt)
     T = np.clip(T, 0.0, None)
     return T / T.sum(axis=1, keepdims=True)
 

@@ -244,6 +244,12 @@ class TestSweepFinite:
         code, out, err = run(capsys, "sweep", "--model", TWOSTATE, "--kappa", "0.5", "--f", spec)
         assert (code, out, err) == (1, "", f"usage error: --f: {rule}\n")
 
+    def test_test_function_whose_squared_errors_overflow_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--model", TWOSTATE, "--f", "1e308,-1e308",
+                             "--kappa", "0.5,0.2", "--trials", "2", "--horizon", "8")
+        assert (code, out) == (1, "")
+        assert err == "usage error: --f: test function values must be at most 1e+70 in absolute value, got 1e+308\n"
+
     @pytest.mark.parametrize("model, flags, kappas", [
         (TWOSTATE, ["--trials", "2", "--horizon", "3", "--burn-in", "0"], cli.DEFAULT_KAPPAS_FINITE),
         (KS_EXAMPLE, [], cli.DEFAULT_KAPPAS_LG),

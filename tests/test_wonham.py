@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from maxacc import (
 )
 from maxacc import wonham
 from maxacc.errors import DegenerateWeight
-from maxacc.verdicts import UNDECIDED
+from maxacc.verdicts import F_MAX, UNDECIDED
 from maxacc.wonham import SimParams, auto_burn_in, auto_dt
 
 SYM2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -262,6 +264,15 @@ class TestEstimator:
         for kappa in (np.nan, np.inf):
             with pytest.raises(ValueError, match="kappa"):
                 estimate_stationary_error(model, np.zeros(2), kappa)
+
+    def test_largest_test_function_keeps_every_sum_finite(self):
+        """At |f| = F_MAX a row's squared errors and their spread stay finite; beyond it f is refused."""
+        assert (2 * F_MAX) ** 4 * wonham.TRIAL_STEP_BUDGET < sys.float_info.max
+        model = two_state()
+        est, se = estimate_stationary_error(model, [F_MAX, -F_MAX], 0.5, trials=4, horizon=8.0)
+        assert np.isfinite(est) and np.isfinite(se) and est > 0
+        with pytest.raises(ValueError, match=r"at most 1e\+70 in absolute value, got 2e\+70"):
+            estimate_stationary_error(model, [0.0, -2 * F_MAX], 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_raw_test_function_obeys_the_test_function_rule(self, bad):
