@@ -31,7 +31,7 @@ from .lingauss import kappa_sweep_lg, ks_check, reduce_unstable, transmission_ze
 from .markov import reduce_support, time_reverse
 from .modelfile import ParsedModelFile, model_hash, parse_model_file, validate_report
 from .svgreport import render_sweep_svg
-from .verdicts import CONSISTENT, check_test_function, identity_embedding, indicator
+from .verdicts import CONSISTENT, check_test_function, identity_embedding, indicator, to_json
 from .wonham import SimParams, check_kappa, kappa_sweep_finite
 
 DEFAULT_KAPPAS_FINITE = [0.5, 0.1, 0.02]
@@ -75,7 +75,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_bundle(out: str | None, parsed: ParsedModelFile, seed: int | None = None, **sections) -> None:
-    """Write a command's report bundle as JSON, once it passes the report schema."""
+    """Write a command's report bundle as JSON, once it passes the report schema.
+
+    Strict JSON: a non-finite float that bypassed verdicts.to_json fails the dump (exit 1).
+    """
     provenance = {
         "tool": "maxacc",
         "version": __version__,
@@ -83,7 +86,7 @@ def _emit_bundle(out: str | None, parsed: ParsedModelFile, seed: int | None = No
         "seed": seed,
     }
     bundle = {"schema_version": 1, "model_hash": model_hash(parsed), "provenance": provenance, **sections}
-    _emit(json.dumps(validate_report(bundle), indent=2) + "\n", out)
+    _emit(json.dumps(validate_report(bundle), indent=2, allow_nan=False) + "\n", out)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -92,7 +95,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         verdict = finite_verdict(parsed.model)
     else:
         verdict = ks_check(parsed.model)
-    _emit_bundle(args.out, parsed, verdict=verdict.to_dict())
+    _emit_bundle(args.out, parsed, verdict=to_json(verdict))
     return 0
 
 
@@ -104,7 +107,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
     if not parsed.model.stable:
         print("note: unstable A reduced by output injection", file=sys.stderr)
     report = transmission_zeros(model)
-    _emit_bundle(args.out, parsed, zero_report=report.to_dict())
+    _emit_bundle(args.out, parsed, zero_report=to_json(report))
     return 0
 
 
@@ -182,7 +185,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.json:  # before the CSV, so a bundle that fails leaves no table behind
         _emit_bundle(args.json, parsed, params.seed if parsed.kind == "finite" else None,
-                     verdict=result.verdict_reference.to_dict(), sweep=result.to_dict())
+                     verdict=to_json(result.verdict), sweep=to_json(result))
     _emit(result.to_csv(), args.out)
     for row in result.rows:
         if row.status != "ok":

@@ -11,6 +11,7 @@ one row per state; scalar observations are accepted as a flat d-vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -108,6 +109,16 @@ class FiniteStateModel:
     def n(self) -> int:
         return self.h.shape[1]
 
+    @functools.cached_property
+    def jumps(self) -> tuple[list, list]:
+        """The jump_kernel of Lambda, built on first use: a model is fixed once built."""
+        return jump_kernel(self.Lambda)
+
+    @functools.cached_property
+    def pi_cdf(self) -> list[float]:
+        """choice_cdf(pi): a start state drawn from pi bisects one uniform draw on it."""
+        return choice_cdf(self.pi)
+
     def variance_of(self, f: np.ndarray) -> float:
         """Stationary variance of a test function, Var_pi(f)."""
         f = np.asarray(f, dtype=float)
@@ -162,23 +173,13 @@ def choice_cdf(p: np.ndarray) -> list[float]:
     return (cdf / cdf[-1]).tolist()
 
 
-def sample_path(
-    Lambda: np.ndarray,
-    initial_state: int,
-    horizon: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-jump (Gillespie) sample of the chain on [0, horizon].
+def jump_kernel(Lambda: np.ndarray) -> tuple[list, list]:
+    """The sampler's (means, cdfs): per state, the mean holding time and its jump's choice_cdf.
 
-    Returns (jump_times, states) with jump_times[0] = 0 and states[k] the
-    state held on [jump_times[k], jump_times[k+1]). States with zero exit
-    rate hold forever. Takes the generator directly so absorbing or frozen
-    chains can be sampled from an explicit initial state.
+    Both are None for a state with zero exit rate, which holds forever. Takes
+    the generator directly, so absorbing or frozen chains can be sampled.
     """
-    check_positive("horizon", horizon)  # NaN or inf would draw jumps forever
     L = np.asarray(Lambda, dtype=float)
-    # Per state: the mean holding time and the jump kernel's choice_cdf. The
-    # stream is choice's and exponential's: scale * standard_exponential is exponential(scale).
     means, cdfs = [None] * len(L), [None] * len(L)
     for i, rate in enumerate(-np.diag(L)):
         if rate > 0:
@@ -186,6 +187,25 @@ def sample_path(
             row[i] = 0.0
             cdfs[i] = choice_cdf(row / row.sum())
             means[i] = float(1.0 / rate)
+    return means, cdfs
+
+
+def sample_path(
+    kernel: tuple[list, list],
+    initial_state: int,
+    horizon: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-jump (Gillespie) sample of the chain on [0, horizon].
+
+    Returns (jump_times, states) with jump_times[0] = 0 and states[k] the
+    state held on [jump_times[k], jump_times[k+1]). The chain is given by
+    its jump_kernel, built once for every path (FiniteStateModel.jumps). The
+    stream is choice's and exponential's: scale * standard_exponential is
+    exponential(scale).
+    """
+    check_positive("horizon", horizon)  # NaN or inf would draw jumps forever
+    means, cdfs = kernel
     uniform, exponential = rng.random, rng.standard_exponential
     times = [0.0]
     states = [int(initial_state)]

@@ -9,8 +9,9 @@ decay versus plateau), so the result containers live in one place.
 from __future__ import annotations
 
 import io
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,13 +77,6 @@ class InvertibilityReport:
     violations: list[tuple] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [list(v) for v in self.violations],
-            "notes": list(self.notes),
-        }
-
 
 @dataclass
 class ReconstructibilityReport:
@@ -90,14 +84,6 @@ class ReconstructibilityReport:
     dim: int
     basis: np.ndarray
     notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "dim": self.dim,
-            "basis": self.basis.tolist(),
-            "notes": list(self.notes),
-        }
 
 
 @dataclass
@@ -108,15 +94,6 @@ class Zero:
     classification: str         # OPEN_RIGHT | BOUNDARY | LEFT
     sigma_min: float            # smallest singular value of the transfer matrix there
     multiplicity: int = 1
-
-    def to_dict(self) -> dict:
-        return {
-            "re": float(self.value.real),
-            "im": float(self.value.imag),
-            "classification": self.classification,
-            "sigma_min": self.sigma_min,
-            "multiplicity": self.multiplicity,
-        }
 
 
 @dataclass
@@ -130,15 +107,6 @@ class ZeroReport:
     def open_right(self) -> list[Zero]:
         return [z for z in self.zeros if z.classification == OPEN_RIGHT]
 
-    def to_dict(self) -> dict:
-        return {
-            "zeros": [z.to_dict() for z in self.zeros],
-            "normal_rank": self.normal_rank,
-            "structural_fail": self.structural_fail,
-            "scale": self.scale,
-            "notes": list(self.notes),
-        }
-
 
 @dataclass
 class Verdict:
@@ -151,19 +119,6 @@ class Verdict:
     zero_report: ZeroReport | None = None
     reduced_dim: int | None = None
     notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "maximal_accuracy": self.maximal_accuracy}
-        if self.invertibility is not None:
-            out["invertibility"] = self.invertibility.to_dict()
-        if self.reconstructibility is not None:
-            out["reconstructibility"] = self.reconstructibility.to_dict()
-        if self.zero_report is not None:
-            out["zero_report"] = self.zero_report.to_dict()
-        if self.reduced_dim is not None:
-            out["reduced_dim"] = self.reduced_dim
-        out["notes"] = list(self.notes)
-        return out
 
 
 @dataclass
@@ -197,17 +152,19 @@ def row_failure(row: SweepRow):
 
 @dataclass
 class SweepResult:
+    """A sweep's rows, its trend and flag, and the verdict it was flagged against."""
+
     rows: list[SweepRow]
-    verdict_reference: Verdict
     base_variance: float
-    trend: str = "undecided"    # "decays" | "plateau" | "undecided"
-    flag: str = UNDECIDED
+    trend: str                  # "decays" | "plateau" | "undecided"
+    flag: str
+    verdict: Verdict
 
     @classmethod
     def of(cls, rows: list[SweepRow], verdict: Verdict, base: float) -> SweepResult:
         """Classify the rows' trend and flag it against the verdict."""
         trend = classify_trend(rows, base)
-        return cls(rows, verdict, base, trend, consistency_flag(trend, verdict.maximal_accuracy))
+        return cls(rows, base, trend, consistency_flag(trend, verdict.maximal_accuracy), verdict)
 
     def ok_rows(self) -> list[SweepRow]:
         return [r for r in self.rows if r.status == "ok"]
@@ -233,27 +190,6 @@ class SweepResult:
             cells.append(self.flag)
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "kappa": r.kappa,
-                    "estimate": r.estimate if r.status == "ok" else None,
-                    "std_error": r.std_error,
-                    "trials": r.trials,
-                    "horizon": r.horizon,
-                    "dt": r.dt,
-                    "burn_in": r.burn_in,
-                    "status": r.status,
-                }
-                for r in self.rows
-            ],
-            "base_variance": self.base_variance,
-            "trend": self.trend,
-            "flag": self.flag,
-            "verdict": self.verdict_reference.to_dict(),
-        }
 
 
 def classify_trend(rows: list[SweepRow], base_variance: float) -> str:
@@ -290,3 +226,29 @@ def consistency_flag(trend: str, maximal_accuracy: bool) -> str:
     if trend == "plateau":
         return INCONSISTENT if maximal_accuracy else CONSISTENT
     return UNDECIDED
+
+
+def to_json(value):
+    """A result as the plain JSON values of its report-bundle section.
+
+    A dataclass becomes its fields in declaration order; a complex field is
+    written as "re" and "im" in its place, and a Verdict leaves out the None
+    sections of the other model family. Arrays and tuples become lists. A
+    non-finite float becomes None, so every bundle is strict JSON (RFC 8259).
+    """
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else None
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist() if np.isfinite(value).all() else to_json(value.tolist())
+    out = {}
+    for f in fields(value):  # a TypeError for anything else
+        v = getattr(value, f.name)
+        if isinstance(v, complex):
+            out["re"], out["im"] = to_json(v.real), to_json(v.imag)
+        elif v is not None or not isinstance(value, Verdict):
+            out[f.name] = to_json(v)
+    return out

@@ -27,7 +27,7 @@ import numpy as np
 from .deferred import DeferredModule
 from .errors import DegenerateWeight
 from .finite_analysis import finite_verdict
-from .markov import FiniteStateModel, check_positive, choice_cdf, integrated_observation, sample_path, state_at
+from .markov import FiniteStateModel, check_positive, integrated_observation, sample_path, state_at
 from .verdicts import SweepResult, SweepRow, check_test_function, row_failure
 
 sla = DeferredModule("scipy.linalg")  # imported by the first transition matrix
@@ -342,8 +342,8 @@ def _trial_path(
     pool size.
     """
     path_rng = np.random.default_rng([seed, trial, 0])
-    x0 = bisect_right(choice_cdf(model.pi), path_rng.random())
-    return sample_path(model.Lambda, x0, horizon, path_rng), np.random.default_rng([seed, trial, 1])
+    x0 = bisect_right(model.pi_cdf, path_rng.random())
+    return sample_path(model.jumps, x0, horizon, path_rng), np.random.default_rng([seed, trial, 1])
 
 
 def _observe(
@@ -479,7 +479,8 @@ def kappa_sweep_finite(
         dt, burn_in = params.resolve(model, kappa)
         row = SweepRow(kappa, float("nan"), trials=params.trials, horizon=params.horizon,
                        dt=dt, burn_in=burn_in)
+        settings = asdict(params) | {"dt": dt, "burn_in": burn_in}  # so the estimator resolves nothing again
         with row_failure(row):
-            row.estimate, row.std_error = estimate_stationary_error(model, f, kappa, **asdict(params))
+            row.estimate, row.std_error = estimate_stationary_error(model, f, kappa, **settings)
         rows.append(row)
     return SweepResult.of(rows, verdict, base)

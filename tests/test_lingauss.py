@@ -585,14 +585,14 @@ class TestRiccatiPaths:
 class TestLgSweep:
     def test_benchmark_plateaus_consistently(self):
         result = kappa_sweep_lg(benchmark(), [0.1, 0.01, 0.001, 0.0001])
-        assert result.verdict_reference.maximal_accuracy is False
+        assert result.verdict.maximal_accuracy is False
         assert result.trend == "plateau"
         assert result.flag == "CONSISTENT"
         assert all(r.std_error is None for r in result.rows)
 
     def test_minimum_phase_variant_decays_consistently(self):
         result = kappa_sweep_lg(benchmark(H=(1.0, 2.0)), [0.1, 0.01, 0.001, 0.0001])
-        assert result.verdict_reference.maximal_accuracy is True
+        assert result.verdict.maximal_accuracy is True
         assert result.trend == "decays"
         assert result.flag == "CONSISTENT"
 

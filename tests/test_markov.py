@@ -20,6 +20,7 @@ from maxacc.errors import NotRateMatrix, NotUniqueStationary, ZeroSupport
 from maxacc.markov import (
     _at_points,
     integrated_observation,
+    jump_kernel,
     sample_path,
     state_at,
     validate_rate_matrix,
@@ -156,12 +157,12 @@ def test_time_reverse_properties(seed):
 
 class TestSamplePath:
     def test_single_state_never_jumps(self):
-        jt, states = sample_path(np.array([[0.0]]), 0, 100.0, np.random.default_rng(0))
+        jt, states = sample_path(jump_kernel(np.array([[0.0]])), 0, 100.0, np.random.default_rng(0))
         assert np.array_equal(jt, [0.0])
         assert np.array_equal(states, [0])
 
     def test_frozen_chain_stays_put(self):
-        jt, states = sample_path(np.zeros((2, 2)), 1, 50.0, np.random.default_rng(0))
+        jt, states = sample_path(jump_kernel(np.zeros((2, 2))), 1, 50.0, np.random.default_rng(0))
         assert np.array_equal(jt, [0.0])
         assert np.array_equal(states, [1])
 
@@ -169,7 +170,7 @@ class TestSamplePath:
         model = FiniteStateModel(SYM2, [0.0, 1.0])
         horizon = 1e4
         rng = np.random.default_rng(42)
-        jt, states = sample_path(SYM2, int(rng.choice(2, p=model.pi)), horizon, rng)
+        jt, states = sample_path(jump_kernel(SYM2), int(rng.choice(2, p=model.pi)), horizon, rng)
         time_in_1 = float(
             integrated_observation(jt, states, np.array([0.0, 1.0]), np.array([horizon]))[0, 0]
         )
@@ -181,7 +182,7 @@ class TestSamplePath:
         model = FiniteStateModel(L, np.zeros(3))
         horizon, batches = 1e5, 100
         rng = np.random.default_rng(5)
-        jt, states = sample_path(L, int(rng.choice(3, p=model.pi)), horizon, rng)
+        jt, states = sample_path(jump_kernel(L), int(rng.choice(3, p=model.pi)), horizon, rng)
         edges = np.linspace(0.0, horizon, batches + 1)
         for i in range(3):
             ind = np.zeros(3)
@@ -197,7 +198,7 @@ class TestSamplePath:
         before sampling. The chain here is frozen, so a missing check fails the
         test instead of hanging it."""
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
-            sample_path(np.zeros((2, 2)), 0, horizon, np.random.default_rng(0))
+            sample_path(jump_kernel(np.zeros((2, 2))), 0, horizon, np.random.default_rng(0))
 
 
 def _edge_case_generator(rng: np.random.Generator, d: int, absorbing: bool) -> np.ndarray:
@@ -224,7 +225,7 @@ class TestSamplePathStream:
             for x0 in range(d):
                 seed = int(rng.integers(2**32))
                 ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                jt, states = sample_path(L, x0, 150.0, ours)
+                jt, states = sample_path(jump_kernel(L), x0, 150.0, ours)
                 jt_ref, states_ref = choice_sample_path(L, x0, 150.0, ref)
                 assert np.array_equal(jt, jt_ref)
                 assert np.array_equal(states, states_ref)
@@ -235,7 +236,7 @@ class TestSamplePathStream:
         """A one-target kernel consumes a uniform draw per jump, as choice does."""
         L = np.array([[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [3.0, 0.0, -3.0]])
         ours, ref = np.random.default_rng(3), np.random.default_rng(3)
-        jt, states = sample_path(L, 0, 40.0, ours)
+        jt, states = sample_path(jump_kernel(L), 0, 40.0, ours)
         assert len(jt) > 20 and np.array_equal(states[:3], [0, 1, 2])
         jt_ref, states_ref = choice_sample_path(L, 0, 40.0, ref)
         assert np.array_equal(jt, jt_ref) and np.array_equal(states, states_ref)
@@ -334,7 +335,7 @@ class TestObservations:
 
     def test_noiseless_frozen_path_increments(self):
         h = np.array([2.0, -3.0])
-        jt, states = sample_path(np.zeros((2, 2)), 1, 10.0, np.random.default_rng(0))
+        jt, states = sample_path(jump_kernel(np.zeros((2, 2))), 1, 10.0, np.random.default_rng(0))
         inc = np.diff(integrated_observation(jt, states, h, np.arange(41) * 0.25), axis=0)
         assert inc.shape == (40, 1)
         assert np.allclose(inc, -3.0 * 0.25, atol=1e-12)
@@ -342,7 +343,7 @@ class TestObservations:
     def test_noiseless_increments_integrate_exactly(self):
         model = FiniteStateModel(SYM2, [0.5, -1.5])
         rng = np.random.default_rng(3)
-        jt, states = sample_path(SYM2, int(rng.choice(2, p=model.pi)), 200.0, rng)
+        jt, states = sample_path(jump_kernel(SYM2), int(rng.choice(2, p=model.pi)), 200.0, rng)
         grid = np.arange(20001) * 0.01
         inc = np.diff(integrated_observation(jt, states, model.h, grid), axis=0)
         total = integrated_observation(jt, states, model.h, np.array([200.0]))[0]

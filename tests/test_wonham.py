@@ -483,8 +483,8 @@ class TestSweep:
         params = SimParams(trials=4, horizon=30.0, seed=9)
         result = kappa_sweep_finite(model, np.array([0.0, 1.0]), [0.1, 0.5], params)
         assert [r.kappa for r in result.rows] == [0.5, 0.1]
-        assert result.verdict_reference.kind == "finite"
-        assert result.verdict_reference.maximal_accuracy is True
+        assert result.verdict.kind == "finite"
+        assert result.verdict.maximal_accuracy is True
         assert result.base_variance == pytest.approx(0.25)
 
     def test_constant_observation_plateau_is_consistent(self):
