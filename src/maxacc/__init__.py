@@ -30,7 +30,6 @@ from .lingauss import (
 )
 from .modelfile import (
     ParsedModelFile,
-    SimSpec,
     model_file_json,
     model_hash,
     parse_model_dict,

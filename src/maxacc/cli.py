@@ -20,7 +20,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +29,11 @@ from . import __version__, errors
 from .finite_analysis import finite_verdict
 from .lingauss import kappa_sweep_lg, ks_check, reduce_unstable, transmission_zeros
 from .markov import reduce_support, time_reverse
-from .modelfile import ParsedModelFile, model_hash, parse_model_file, validate_report
+from .modelfile import SCHEMA_VERSION, ParsedModelFile, model_hash, parse_model_file, validate_report
 from .svgreport import render_sweep_svg
-from .verdicts import CONSISTENT, check_test_function, identity_embedding, indicator, to_json
-from .wonham import SimParams, check_kappa, kappa_sweep_finite
+from .verdicts import (CONSISTENT, check_kappa, check_kappas, check_test_function, identity_embedding,
+                       indicator, to_json)
+from .wonham import SimParams, kappa_sweep_finite
 
 DEFAULT_KAPPAS_FINITE = [0.5, 0.1, 0.02]
 DEFAULT_KAPPAS_LG = [0.1, 0.01, 0.001, 0.0001]
@@ -85,7 +86,7 @@ def _emit_bundle(out: str | None, parsed: ParsedModelFile, seed: int | None = No
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": seed,
     }
-    bundle = {"schema_version": 1, "model_hash": model_hash(parsed), "provenance": provenance, **sections}
+    bundle = {"schema_version": SCHEMA_VERSION, "model_hash": model_hash(parsed), "provenance": provenance, **sections}
     _emit(json.dumps(validate_report(bundle), indent=2, allow_nan=False) + "\n", out)
 
 
@@ -132,7 +133,7 @@ def _parse_kappas(text: str) -> list[float]:
         raise _UsageError(f"--kappa: {exc}") from exc
     if not kappas:
         raise _UsageError("--kappa needs a comma-separated list of positive finite numbers")
-    return [check_kappa(k) for k in kappas]
+    return check_kappas(kappas)
 
 
 def _parse_f(spec: str, d: int) -> np.ndarray:
@@ -158,17 +159,13 @@ def _parse_f(spec: str, d: int) -> np.ndarray:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     parsed = parse_model_file(args.model)
-    sim = parsed.sim
     try:
-        if args.kappa:
-            kappas = _parse_kappas(args.kappa)
-        elif sim.kappas:
-            kappas = sim.kappas
-        else:
-            kappas = DEFAULT_KAPPAS_FINITE if parsed.kind == "finite" else DEFAULT_KAPPAS_LG
+        default = DEFAULT_KAPPAS_FINITE if parsed.kind == "finite" else DEFAULT_KAPPAS_LG
+        kappas = _parse_kappas(args.kappa) if args.kappa else parsed.kappas or default
         # The sim block passed the same rules when the file was parsed, so a
         # failure here names a flag.
-        params = sim.params(**{name: getattr(args, name) for name in SIM_FLAGS})
+        flags = {name: getattr(args, name) for name in SIM_FLAGS if getattr(args, name) is not None}
+        params = replace(parsed.sim, **flags)
     except ValueError as exc:
         name, _, rule = str(exc).partition(" ")
         raise _UsageError(f"--{name.replace('_', '-')} {rule}") from exc

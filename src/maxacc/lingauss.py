@@ -44,9 +44,10 @@ from .verdicts import (
     Verdict,
     Zero,
     ZeroReport,
+    check_kappa,
+    check_kappas,
     row_failure,
 )
-from .wonham import check_kappa
 
 sla = DeferredModule("scipy.linalg")  # bench/spans.py and the tests wrap names on it
 
@@ -547,13 +548,14 @@ def riccati_stationary(
 def kappa_sweep_lg(model: LinearGaussianModel, kappas: list[float]) -> SweepResult:
     """Riccati-trace sweep: rows (kappa, trace P(kappa)) plus the verdict flag.
 
-    The sweep walks kappas in descending order, warm-starting each solve from
-    the previous solution (the continuation is sequential by construction).
-    Exact rows carry no standard error; the trend classifier uses a synthetic
-    relative band instead. The base scale for the decay/plateau floors is the
-    stationary signal variance trace(Sigma) when A is stable, otherwise the
-    error trace at the largest swept kappa.
+    The grid meets check_kappas, then the sweep walks it in descending order,
+    warm-starting each solve from the previous solution. Exact rows carry no
+    standard error; the trend classifier uses a synthetic relative band
+    instead. The base scale for the decay/plateau floors is the stationary
+    signal variance trace(Sigma) when A is stable, otherwise the error trace
+    at the largest swept kappa.
     """
+    kappas = check_kappas(kappas)
     verdict = ks_check(model)
     rows: list[SweepRow] = []
     P_prev: np.ndarray | None = None

@@ -12,13 +12,13 @@ one row per state; scalar observations are accepted as a flat d-vector.
 from __future__ import annotations
 
 import functools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NotRateMatrix, NotUniqueStationary, ZeroSupport
+from .verdicts import check_positive
 
 RATE_TOL = 1e-12        # row-sum / nonnegativity tolerance for generators
 NULLITY_TOL = 1e-10     # singular-value cutoff for stationary-law uniqueness
@@ -137,12 +137,8 @@ def reduce_support(model: FiniteStateModel) -> FiniteStateModel:
     keep = model.pi > SUPPORT_TOL
     if np.all(keep):
         return model
-    idx = np.flatnonzero(keep)
-    L = model.Lambda[np.ix_(idx, idx)].copy()
-    # Zero out residual leakage rates toward dropped states.
-    np.fill_diagonal(L, 0.0)
-    np.fill_diagonal(L, -L.sum(axis=1))
-    return FiniteStateModel(L, model.h[idx])
+    # The diagonal drops residual leakage rates toward dropped states.
+    return FiniteStateModel(_exit_diagonal(model.Lambda[np.ix_(keep, keep)]), model.h[keep])
 
 
 def time_reverse(model: FiniteStateModel) -> np.ndarray:
@@ -154,17 +150,14 @@ def time_reverse(model: FiniteStateModel) -> np.ndarray:
     if np.min(model.pi) <= 0:
         raise ZeroSupport("time reversal needs pi > 0 everywhere; reduce support first")
     pi = model.pi
-    R = model.Lambda.T * pi[None, :] / pi[:, None]
+    return _exit_diagonal(model.Lambda.T * pi[None, :] / pi[:, None])
+
+
+def _exit_diagonal(R: np.ndarray) -> np.ndarray:
+    """R with its diagonal set, in place, to minus its off-diagonal row sums."""
     np.fill_diagonal(R, 0.0)
-    np.fill_diagonal(R, -R.sum(axis=1))
+    np.fill_diagonal(R, 0.0 - R.sum(axis=1))  # not -sum: a state with no exits gets +0.0, not -0.0
     return R
-
-
-def check_positive(name: str, value: float) -> float:
-    """The rule for horizons, grid steps and noise strengths: positive and finite."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value:g}")
-    return value
 
 
 def choice_cdf(p: np.ndarray) -> list[float]:

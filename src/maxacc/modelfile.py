@@ -4,7 +4,8 @@ Model files are JSON with one model family per file. Matrix entries are
 decimal strings (plain JSON numbers are also accepted on input) and are
 always written back as repr() strings, so a parse/serialize round trip is
 bit-exact and immune to locale surprises. An optional "sim" block carries
-sweep defaults that command-line flags can override.
+sweep defaults that command-line flags can override: a kappa grid, and the
+SimParams settings that differ from SimParams().
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,8 @@ from .errors import (
 from .lingauss import LinearGaussianModel
 from .lingauss import validate_model  # noqa: F401 (bench/spans.py wraps this name)
 from .markov import FiniteStateModel
-from .wonham import SimParams, check_kappa
+from .verdicts import check_kappas
+from .wonham import SimParams
 
 # Imported by the first rejected document; bench/spans.py wraps this name.
 jsonschema = DeferredModule("jsonschema")
@@ -240,28 +242,11 @@ def _schema_error(name: str, doc: dict):
 
 
 @dataclass
-class SimSpec:
-    """Sweep defaults from a model file; every field may be absent."""
-
-    kappas: list[float] | None = None
-    trials: int | None = None
-    horizon: float | None = None
-    dt: float | None = None
-    burn_in: float | None = None
-    seed: int | None = None
-
-    def params(self, **flags) -> SimParams:
-        """SimParams from the flags that are set, then this block, then the SimParams defaults."""
-        merged = {name: value for name, value in vars(self).items() if name != "kappas"}
-        merged.update((name, value) for name, value in flags.items() if value is not None)
-        return SimParams(**{name: value for name, value in merged.items() if value is not None})
-
-
-@dataclass
 class ParsedModelFile:
     kind: str
     model: FiniteStateModel | LinearGaussianModel
-    sim: SimSpec
+    kappas: list[float] | None = None  # the sim block's kappa grid; None: the command's default
+    sim: SimParams = SimParams()  # the sim block's settings
 
 
 def _to_float(node, path: str, finite: bool = True) -> float:
@@ -309,7 +294,7 @@ def parse_model_dict(doc: dict) -> ParsedModelFile:
         model = _build_finite(doc["finite"])
     else:
         model = _build_linear_gaussian(doc["linear_gaussian"])
-    return ParsedModelFile(kind=doc["type"], model=model, sim=_build_sim(doc.get("sim", {})))
+    return ParsedModelFile(doc["type"], model, *_build_sim(doc.get("sim", {})))
 
 
 def _build_finite(node: dict) -> FiniteStateModel:
@@ -342,25 +327,19 @@ def _build_linear_gaussian(node: dict) -> LinearGaussianModel:
         raise ModelInvariantError(f"linear_gaussian: {exc}") from exc
 
 
-def _build_sim(node: dict) -> SimSpec:
-    """The sim block, checked by the SimParams and kappa rules under its sim. names."""
-    spec = SimSpec()
-    if "kappas" in node:
-        spec.kappas = [_to_float(v, f"sim.kappas[{i}]", False) for i, v in enumerate(node["kappas"])]
-    for name in ("trials", "seed"):
-        if name in node:
-            setattr(spec, name, int(node[name]))
-    for name in ("horizon", "dt", "burn_in"):
-        if node.get(name) is not None:
-            setattr(spec, name, _to_float(node[name], f"sim.{name}", False))
+def _build_sim(node: dict) -> tuple[list[float] | None, SimParams]:
+    """The sim block's kappa grid and settings, checked by check_kappas and SimParams under its sim. names."""
+    kappas = node.get("kappas")
+    settings = {name: int(node[name]) for name in ("trials", "seed") if name in node}
+    settings.update((name, _to_float(node[name], f"sim.{name}", False))
+                    for name in ("horizon", "dt", "burn_in") if node.get(name) is not None)
     try:
-        for kappa in spec.kappas or ():
-            check_kappa(kappa)
-        spec.params()
+        if kappas is not None:
+            kappas = check_kappas([_to_float(v, f"sim.kappas[{i}]", False) for i, v in enumerate(kappas)])
+        return kappas, SimParams(**settings)
     except ValueError as exc:
         field, _, rule = str(exc).partition(" ")
         raise ModelInvariantError(f"sim.{'kappas' if field == 'kappa' else field} {rule}") from exc
-    return spec
 
 
 def parse_model_file(path: str | Path) -> ParsedModelFile:
@@ -389,26 +368,24 @@ def _matrix_strings(M: np.ndarray) -> list[list[str]]:
 def serialize_model(parsed: ParsedModelFile) -> dict:
     """Model document with matrices as repr() decimal strings (bit-exact)."""
     doc: dict = {"schema_version": SCHEMA_VERSION, "type": parsed.kind}
+    model = parsed.model
     if parsed.kind == "finite":
-        model = parsed.model
         doc["finite"] = {
             "d": model.d,
             "lambda": _matrix_strings(model.Lambda),
             "h": _matrix_strings(model.h),
         }
     else:
-        model = parsed.model
         doc["linear_gaussian"] = {
             "A": _matrix_strings(model.A),
             "D": _matrix_strings(model.D),
             "H": _matrix_strings(model.H),
         }
-    block = {name: value for name, value in vars(parsed.sim).items() if value is not None}
-    if "kappas" in block:
-        block["kappas"] = [_fmt(k) for k in block["kappas"]]
-    for name in ("horizon", "dt", "burn_in"):
-        if name in block:
-            block[name] = _fmt(block[name])
+    block = {} if parsed.kappas is None else {"kappas": [_fmt(k) for k in parsed.kappas]}
+    for f in fields(SimParams):
+        value = getattr(parsed.sim, f.name)
+        if value != f.default:
+            block[f.name] = value if isinstance(value, int) else _fmt(value)
     if block:
         doc["sim"] = block
     return doc

@@ -57,6 +57,29 @@ def check_test_function(f: np.ndarray, d: int) -> np.ndarray:
     return v
 
 
+def check_positive(name: str, value: float) -> float:
+    """The rule for horizons, grid steps and noise strengths: positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value:g}")
+    return value
+
+
+def check_kappa(kappa: float) -> float:
+    """The one noise-strength rule: kappa is positive and finite."""
+    return check_positive("kappa", kappa)
+
+
+def check_kappas(kappas) -> list[float]:
+    """The one kappa-grid rule: at least one kappa, each passing check_kappa, and none repeated."""
+    grid = [check_kappa(kappa) for kappa in kappas]
+    if not grid:
+        raise ValueError("kappa grid is empty; a sweep needs at least one kappa")
+    repeated = [kappa for i, kappa in enumerate(grid) if kappa in grid[:i]]
+    if repeated:
+        raise ValueError(f"kappa {repeated[0]:g} is repeated; a sweep has one row per kappa")
+    return grid
+
+
 def indicator(i: int, d: int) -> np.ndarray:
     """The indicator of state i among d states."""
     if not 0 <= i < d:

@@ -27,8 +27,9 @@ import numpy as np
 from .deferred import DeferredModule
 from .errors import DegenerateWeight
 from .finite_analysis import finite_verdict
-from .markov import FiniteStateModel, check_positive, integrated_observation, sample_path, state_at
-from .verdicts import SweepResult, SweepRow, check_test_function, row_failure
+from .markov import FiniteStateModel, integrated_observation, sample_path, state_at
+from .verdicts import (SweepResult, SweepRow, check_kappa, check_kappas, check_positive, check_test_function,
+                       row_failure)
 
 sla = DeferredModule("scipy.linalg")  # imported by the first transition matrix
 
@@ -41,11 +42,6 @@ TRIAL_STEP_BUDGET = 10_000_000_000  # trials * grid steps per sweep row
 MAX_TRIALS = 1_000_000     # trials per sweep row; each costs ~0.25 ms on one core whatever its grid
 DT_FACTOR = 0.5             # default step: dt = DT_FACTOR * kappa^2 ...
 DT_MIN = 1e-6               # ... but never below DT_MIN
-
-
-def check_kappa(kappa: float) -> float:
-    """The one noise-strength rule: kappa is positive and finite."""
-    return check_positive("kappa", kappa)
 
 
 @dataclass(frozen=True)
@@ -78,6 +74,16 @@ class SimParams:
         """(dt, burn_in) for one kappa: the given values, else auto_dt and auto_burn_in."""
         dt = self.dt if self.dt is not None else auto_dt(model, kappa)
         return dt, self.burn_in if self.burn_in is not None else auto_burn_in(model)
+
+
+def _pool_threads() -> int:
+    """The worker cap: MAXACC_THREADS, a positive integer, or the CPU count when it is unset or empty."""
+    value = os.environ.get("MAXACC_THREADS")
+    if not value:
+        return os.cpu_count() or 1
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"MAXACC_THREADS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def auto_dt(model: FiniteStateModel, kappa: float) -> float:
@@ -437,9 +443,7 @@ def estimate_stationary_error(
         )
 
     starts = range(0, trials, CHUNK_TRIALS)
-    workers = os.environ.get("MAXACC_THREADS")
-    max_workers = int(workers) if workers else (os.cpu_count() or 1)
-    max_workers = max(1, min(max_workers, len(starts)))
+    max_workers = min(_pool_threads(), len(starts))
 
     def work(start: int) -> np.ndarray:
         idx = np.arange(start, min(start + CHUNK_TRIALS, trials))
@@ -464,13 +468,15 @@ def kappa_sweep_finite(
 ) -> SweepResult:
     """One Monte-Carlo error estimate per kappa, cross-referenced with the verdict.
 
-    f meets check_test_function before any work. Rows run at kappas sorted in
-    descending order; a per-row failure (for example weight underflow at an
-    explicitly forced dt) is recorded in the row status and the remaining
-    rows still run. The empirical trend of the successful rows is flagged
-    CONSISTENT or INCONSISTENT against the algebraic verdict.
+    f, the kappas and MAXACC_THREADS are checked before any row. Rows run at
+    kappas sorted in descending order; a per-row failure (for example weight
+    underflow at an explicitly forced dt) is recorded in the row status and
+    the remaining rows still run. The empirical trend of the successful rows
+    is flagged CONSISTENT or INCONSISTENT against the algebraic verdict.
     """
     f = check_test_function(f, model.d)
+    kappas = check_kappas(kappas)
+    _pool_threads()
     params = params or SimParams()
     verdict = finite_verdict(model)
     base = model.variance_of(f)

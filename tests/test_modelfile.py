@@ -27,7 +27,7 @@ from maxacc import (
 from maxacc import modelfile
 from maxacc.cli import run_command
 from maxacc.errors import MaxaccError, ModelInvariantError, ParseError, SchemaError
-from maxacc.modelfile import MODEL_FILE_SCHEMA, REPORT_SCHEMA, ParsedModelFile, SimSpec
+from maxacc.modelfile import MODEL_FILE_SCHEMA, REPORT_SCHEMA, ParsedModelFile, SimParams
 from oracles import ANYOF_MODEL_FILE_SCHEMA, ANYOF_REPORT_SCHEMA
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -60,12 +60,12 @@ class TestParsing:
         parsed = parse_model_file(MODELS_DIR / f"{name}.json")
         expected_kind = "linear_gaussian" if name == "ks_example" else "finite"
         assert parsed.kind == expected_kind
-        assert parsed.sim.kappas is not None
+        assert parsed.kappas is not None
 
     def test_bundled_sim_defaults(self):
         parsed = parse_model_file(MODELS_DIR / "twostate.json")
         sim = parsed.sim
-        assert sim.kappas == [0.5, 0.1, 0.02]
+        assert parsed.kappas == [0.5, 0.1, 0.02]
         assert sim.trials == 32
         assert sim.horizon == 150.0
         assert sim.seed == 7
@@ -89,7 +89,7 @@ class TestParsing:
 
     def test_missing_sim_block_gives_empty_spec(self):
         parsed = parse_model_dict(FINITE_DOC)
-        assert parsed.sim == SimSpec()
+        assert (parsed.kappas, parsed.sim) == (None, SimParams())
 
 
 class TestSchemaRejections:
@@ -508,11 +508,11 @@ class TestRoundTrip:
             Lambda=np.array([[-third, third], [0.1, -0.1]]),
             h=np.array([[1e-17], [2.0 + 1e-9]]),
         )
-        parsed = ParsedModelFile(kind="finite", model=model, sim=SimSpec(kappas=[0.1 + 0.2]))
+        parsed = ParsedModelFile(kind="finite", model=model, kappas=[0.1 + 0.2])
         again = parse_model_dict(json.loads(model_file_json(parsed)))
         assert np.array_equal(again.model.Lambda, model.Lambda)
         assert np.array_equal(again.model.h, model.h)
-        assert again.sim.kappas == [0.1 + 0.2]
+        assert again.kappas == [0.1 + 0.2]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -534,7 +534,7 @@ class TestRoundTrip:
             L[i, (i + 1) % d] = rates[i]
             L[i, i] = -rates[i]
         model = FiniteStateModel(Lambda=L, h=np.array(obs[:d])[:, None])
-        parsed = ParsedModelFile(kind="finite", model=model, sim=SimSpec())
+        parsed = ParsedModelFile(kind="finite", model=model)
         again = parse_model_dict(serialize_model(parsed))
         assert np.array_equal(again.model.Lambda, model.Lambda)
         assert np.array_equal(again.model.h, model.h)

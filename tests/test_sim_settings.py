@@ -132,8 +132,8 @@ class TestDefaults:
 
     def test_flag_then_sim_block_then_default(self):
         spec = parse_model_dict(dict(FINITE_DOC, sim={"trials": 4, "horizon": "12"})).sim
-        assert spec.params() == SimParams(trials=4, horizon=12.0)
-        assert spec.params(trials=2, horizon=None, seed=3) == SimParams(trials=2, horizon=12.0, seed=3)
+        assert spec == SimParams(trials=4, horizon=12.0)
+        assert dataclasses.replace(spec, trials=2, seed=3) == SimParams(trials=2, horizon=12.0, seed=3)
 
 
 class TestOneResolver:
