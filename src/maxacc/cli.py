@@ -51,15 +51,11 @@ class _Parser(argparse.ArgumentParser):
 
 # Exit code and standard-error prefix of every command failure. run_command takes
 # the first class of the exception's MRO listed here, so LinAlgError (a ValueError)
-# exits 3; an exception of no listed class is a bug and keeps its traceback.
+# exits 3 and every subclass of InvalidInput exits 1; an exception of no listed
+# class is a bug and keeps its traceback.
 EXITS: dict[type[Exception], tuple[int, str]] = {
     _UsageError: (1, "usage error:"),
-    **dict.fromkeys((
-        ValueError, errors.ParseError, errors.SchemaError, errors.ModelInvariantError,
-        errors.NotRateMatrix, errors.NotUniqueStationary, errors.ZeroSupport,
-        errors.DimensionMismatch, errors.RankDeficientDorH, errors.NotDetectable,
-        errors.NotDetectableOrStabilizable,
-    ), (1, "error:")),
+    **dict.fromkeys((ValueError, errors.InvalidInput), (1, "error:")),
     errors.IllConditionedPencil: (2, "undecided:"),
     **dict.fromkeys((errors.MaxaccError, np.linalg.LinAlgError), (3, "numerical failure:")),
 }
@@ -131,8 +127,6 @@ def _parse_kappas(text: str) -> list[float]:
         kappas = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"--kappa: {exc}") from exc
-    if not kappas:
-        raise _UsageError("--kappa needs a comma-separated list of positive finite numbers")
     return check_kappas(kappas)
 
 
@@ -161,7 +155,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     parsed = parse_model_file(args.model)
     try:
         default = DEFAULT_KAPPAS_FINITE if parsed.kind == "finite" else DEFAULT_KAPPAS_LG
-        kappas = _parse_kappas(args.kappa) if args.kappa else parsed.kappas or default
+        kappas = _parse_kappas(args.kappa) if args.kappa is not None else parsed.kappas or default
         # The sim block passed the same rules when the file was parsed, so a
         # failure here names a flag.
         flags = {name: getattr(args, name) for name in SIM_FLAGS if getattr(args, name) is not None}
@@ -172,7 +166,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if parsed.kind == "finite":
         model = parsed.model
-        f = _parse_f(args.f, model.d) if args.f else indicator(0, model.d)
+        f = _parse_f(args.f, model.d) if args.f is not None else indicator(0, model.d)
         result = kappa_sweep_finite(model, f, kappas, params)
     else:
         for name in (*SIM_FLAGS, "f"):

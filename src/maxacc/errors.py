@@ -5,19 +5,23 @@ class MaxaccError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInput(MaxaccError):
+    """The model or input is invalid: the command line exits 1 on every subclass."""
+
+
 # ---------------------------------------------------------------------------
 # finite-state model errors
 
 
-class NotRateMatrix(MaxaccError):
+class NotRateMatrix(InvalidInput):
     """Matrix is not a valid generator: negative off-diagonal entry or row sum != 0."""
 
 
-class NotUniqueStationary(MaxaccError):
+class NotUniqueStationary(InvalidInput):
     """The chain has more than one stationary law (reducible with several closed classes)."""
 
 
-class ZeroSupport(MaxaccError):
+class ZeroSupport(InvalidInput):
     """Operation requires a strictly positive stationary law; reduce support first."""
 
 
@@ -29,11 +33,11 @@ class DegenerateWeight(MaxaccError):
 # linear-Gaussian model errors
 
 
-class DimensionMismatch(MaxaccError):
+class DimensionMismatch(InvalidInput):
     """Matrix shapes are inconsistent with a p-state, m-noise, n-observation model."""
 
 
-class RankDeficientDorH(MaxaccError):
+class RankDeficientDorH(InvalidInput):
     """D must have independent columns and H independent rows."""
 
 
@@ -41,11 +45,11 @@ class NotStable(MaxaccError):
     """Matrix has an eigenvalue with nonnegative real part where stability is required."""
 
 
-class NotDetectable(MaxaccError):
+class NotDetectable(InvalidInput):
     """(A, H) is not detectable; no output injection can stabilize A - KH."""
 
 
-class NotDetectableOrStabilizable(MaxaccError):
+class NotDetectableOrStabilizable(InvalidInput):
     """Model violates the standing assumptions: A unstable and not reducible to a stable model."""
 
 
@@ -65,13 +69,13 @@ class NoStabilizingSolution(MaxaccError):
 # model-file errors
 
 
-class ParseError(MaxaccError):
+class ParseError(InvalidInput):
     """Model file is not well-formed structured text."""
 
 
-class SchemaError(MaxaccError):
+class SchemaError(InvalidInput):
     """Model file does not match the published schema."""
 
 
-class ModelInvariantError(MaxaccError):
+class ModelInvariantError(InvalidInput):
     """Model file parsed but the described model violates an invariant; names the field."""

@@ -252,17 +252,27 @@ def _pencil_candidates(A: np.ndarray, D: np.ndarray, H: np.ndarray) -> np.ndarra
     return w[np.isfinite(w)]
 
 
-def _cluster(candidates: np.ndarray, tol: float) -> list[tuple[complex, int]]:
-    """Group nearby candidates into (center, multiplicity) pairs."""
-    clusters: list[list[complex]] = []
-    for lam in sorted(candidates, key=lambda z: (z.real, z.imag)):
+def _cluster(pools: list[np.ndarray], tol: float) -> list[tuple[complex, int]]:
+    """Group nearby candidates of all pools into (center, multiplicity) pairs.
+
+    Each pool holds one pencil's candidates, so a group's multiplicity is the
+    most candidates any one pool puts in it: a zero that both row compressions
+    of a tall system find is counted once, not once per compression.
+    """
+    clusters: list[list[tuple[complex, int]]] = []
+    tagged = [(lam, k) for k, pool in enumerate(pools) for lam in pool]
+    for lam, k in sorted(tagged, key=lambda t: (t[0].real, t[0].imag)):
         for group in clusters:
-            if abs(lam - group[0]) <= tol * max(1.0, abs(group[0])):
-                group.append(lam)
+            if abs(lam - group[0][0]) <= tol * max(1.0, abs(group[0][0])):
+                group.append((lam, k))
                 break
         else:
-            clusters.append([lam])
-    return [(complex(np.mean(g)), len(g)) for g in clusters]
+            clusters.append([(lam, k)])
+    result = []
+    for group in clusters:
+        values, owners = zip(*group)
+        result.append((complex(np.mean(values)), max(map(owners.count, owners))))
+    return result
 
 
 def transmission_zeros(model: LinearGaussianModel) -> ZeroReport:
@@ -305,7 +315,7 @@ def transmission_zeros(model: LinearGaussianModel) -> ZeroReport:
         )
 
     if model.m == model.n:
-        candidates = _pencil_candidates(model.A, model.D, model.H)
+        pools = [_pencil_candidates(model.A, model.D, model.H)]
         notes = []
     else:
         rng = np.random.default_rng(COMPRESSION_SEED)
@@ -313,12 +323,11 @@ def transmission_zeros(model: LinearGaussianModel) -> ZeroReport:
         for _ in range(2):
             M = rng.standard_normal((model.m, model.n))
             pools.append(_pencil_candidates(model.A, model.D, M @ model.H))
-        candidates = np.concatenate(pools) if pools else np.array([])
         notes = ["tall system: candidates from two random row compressions"]
 
     eig_scale = max(1.0, rho)
     zeros: list[Zero] = []
-    for center, mult in _cluster(candidates, 1e-7):
+    for center, mult in _cluster(pools, 1e-7):
         if np.min(np.abs(eigs - center)) <= 1e-8 * eig_scale:
             raise IllConditionedPencil(
                 f"candidate zero {center} coincides with an eigenvalue of A; "

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NotRateMatrix, NotUniqueStationary, ZeroSupport
 from .verdicts import check_positive
 
-RATE_TOL = 1e-12        # row-sum / nonnegativity tolerance for generators
+RATE_TOL = 1e-12        # row-sum tolerance for generators
 NULLITY_TOL = 1e-10     # singular-value cutoff for stationary-law uniqueness
 SUPPORT_TOL = 1e-12     # pi entries below this are treated as transient mass
 
@@ -33,7 +33,7 @@ def validate_rate_matrix(Lambda: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(L)):
         raise NotRateMatrix("generator has non-finite entries")
     off = L - np.diag(np.diag(L))
-    if np.min(off) < -RATE_TOL:
+    if np.min(off) < 0:
         i, j = np.unravel_index(np.argmin(off), L.shape)
         raise NotRateMatrix(f"negative off-diagonal rate at ({i}, {j}): {L[i, j]}")
     rowsum = L.sum(axis=1)

@@ -21,16 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .deferred import DeferredModule
-from .errors import (
-    DimensionMismatch,
-    ModelInvariantError,
-    NotDetectableOrStabilizable,
-    NotRateMatrix,
-    NotUniqueStationary,
-    ParseError,
-    RankDeficientDorH,
-    SchemaError,
-)
+from .errors import InvalidInput, ModelInvariantError, ParseError, SchemaError
 from .lingauss import LinearGaussianModel
 from .lingauss import validate_model  # noqa: F401 (bench/spans.py wraps this name)
 from .markov import FiniteStateModel
@@ -305,15 +296,9 @@ def _build_finite(node: dict) -> FiniteStateModel:
         raise SchemaError(f"finite.lambda: shape {L.shape} does not match d = {d}")
     if h.shape[0] != d:
         raise SchemaError(f"finite.h: {h.shape[0]} rows do not match d = {d}")
-    for i in range(d):
-        for j in range(d):
-            if i != j and L[i, j] < 0:
-                raise ModelInvariantError(
-                    f"finite.lambda[{i}][{j}]: negative off-diagonal rate {L[i, j]}"
-                )
     try:
         return FiniteStateModel(L, h)
-    except (NotRateMatrix, NotUniqueStationary) as exc:
+    except InvalidInput as exc:
         raise ModelInvariantError(f"finite.lambda: {exc}") from exc
 
 
@@ -323,7 +308,7 @@ def _build_linear_gaussian(node: dict) -> LinearGaussianModel:
     H = _to_matrix(node["H"], "linear_gaussian.H")
     try:
         return LinearGaussianModel(A, D, H)
-    except (DimensionMismatch, RankDeficientDorH, NotDetectableOrStabilizable) as exc:
+    except InvalidInput as exc:
         raise ModelInvariantError(f"linear_gaussian: {exc}") from exc
 
 
@@ -350,11 +335,13 @@ def parse_model_file(path: str | Path) -> ParsedModelFile:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{path}: top level must be an object")
+        return parse_model_dict(doc)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: top level must be an object")
-    return parse_model_dict(doc)
+    except RecursionError as exc:  # the decoder and the schema check recurse once per level of nesting
+        raise ParseError(f"{path}: nested too deeply to parse") from exc
 
 
 def _fmt(x: float) -> str:

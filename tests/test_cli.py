@@ -37,6 +37,7 @@ EXIT_CODES = {
     "NotDetectableOrStabilizable": 1,
     "NotDetectable": 1,
     "ZeroSupport": 1,
+    "InvalidInput": 1,
     "IllConditionedPencil": 2,
     "DegenerateWeight": 3,
     "NotStable": 3,
@@ -324,7 +325,15 @@ class TestErrors:
     def test_empty_kappa_list(self, capsys):
         code, out, err = run(capsys, "sweep", "--model", TWOSTATE, "--kappa", ",")
         assert (code, out) == (1, "")
-        assert err == "usage error: --kappa needs a comma-separated list of positive finite numbers\n"
+        assert err == "usage error: --kappa grid is empty; a sweep needs at least one kappa\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--kappa", "--kappa grid is empty; a sweep needs at least one kappa"),
+        ("--f", "--f: expected 'identity', 'indicator:K', or a comma-separated vector, got ''"),
+    ])
+    def test_empty_flag_is_refused_not_defaulted(self, capsys, flag, message):
+        code, out, err = run(capsys, "sweep", "--model", TWOSTATE, flag, "")
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
     def test_negative_kappa(self, capsys):
         code, _, err = run(
@@ -450,6 +459,14 @@ class TestErrors:
             and cls is not errors.MaxaccError
         }
         assert classes == set(EXIT_CODES)
+
+    def test_exits_names_invalid_input_once(self):
+        """InvalidInput's entry covers every subclass, so a new input error cannot be left out."""
+        assert [cls for cls in cli.EXITS if issubclass(cls, errors.InvalidInput)] == [errors.InvalidInput]
+
+    def test_every_exit_1_class_is_invalid_input(self):
+        assert [name for name, code in EXIT_CODES.items()
+                if code == 1 and not issubclass(getattr(errors, name), errors.InvalidInput)] == []
 
     @pytest.mark.parametrize("name", sorted(EXIT_CODES))
     def test_error_exit_code_and_prefix(self, capsys, monkeypatch, name):

@@ -268,7 +268,21 @@ class TestTransmissionZeros:
         assert len(report.zeros) == 1
         assert abs(report.zeros[0].value - 2.0) < 1e-6
         assert report.zeros[0].classification == OPEN_RIGHT
+        assert report.zeros[0].multiplicity == 1
         assert any("tall" in note for note in report.notes)
+
+    def test_tall_system_with_double_zero(self):
+        """Both channels carry (s + 1/2)^2; each compression finds it twice, so it is counted twice, not four times."""
+        model = LinearGaussianModel(
+            np.diag([-1.0, -2.0, -4.0, -8.0]),
+            np.ones((4, 1)),
+            np.array([[8.0, -126.0, 343.0, -225.0], [32.0, -378.0, 343.0, 675.0]]),
+        )
+        report = transmission_zeros(model)
+        assert len(report.zeros) == 1
+        assert abs(report.zeros[0].value + 0.5) < 1e-6
+        assert report.zeros[0].classification == LEFT
+        assert report.zeros[0].multiplicity == 2
 
     def test_tall_system_without_common_zero(self):
         model = LinearGaussianModel(

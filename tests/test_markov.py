@@ -38,6 +38,13 @@ class TestRateMatrixValidation:
         with pytest.raises(NotRateMatrix, match=r"\(0, 1\)"):
             validate_rate_matrix([[1.0, -1.0], [1.0, -1.0]])
 
+    @pytest.mark.parametrize("build", [validate_rate_matrix, lambda L: FiniteStateModel(L, [0.0, 1.0])],
+                             ids=["validate", "model"])
+    def test_any_negative_rate_rejected(self, build):
+        """No tolerance on the sign: RATE_TOL bounds row sums only."""
+        with pytest.raises(NotRateMatrix, match=r"^negative off-diagonal rate at \(1, 0\): -5e-13$"):
+            build([[-1.0, 1.0], [-5e-13, 5e-13]])
+
     def test_bad_row_sum_rejected(self):
         with pytest.raises(NotRateMatrix, match="row 0"):
             validate_rate_matrix([[-1.0, 2.0], [1.0, -1.0]])

@@ -430,8 +430,17 @@ class TestModelInvariants:
     def test_negative_off_diagonal_named(self):
         doc = json.loads(json.dumps(FINITE_DOC))
         doc["finite"]["lambda"] = [["-1", "-1"], ["1", "-1"]]
-        with pytest.raises(ModelInvariantError, match=r"finite\.lambda\[0\]\[1\]"):
+        with pytest.raises(ModelInvariantError, match=r"finite\.lambda: negative off-diagonal rate at \(0, 1\)"):
             parse_model_dict(doc)
+
+    def test_tiny_negative_rate_refused(self, capsys, tmp_path):
+        """A rate just under zero fails the library's generator rule, named after the file's field."""
+        lam = [[-1.0, 1.0], [-5e-13, 5e-13]]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({**FINITE_DOC, "finite": {"d": 2, "lambda": lam, "h": [[0], [1]]}}))
+        assert run_command(["analyze", "--model", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: finite.lambda: negative off-diagonal rate at (1, 0): -5e-13\n")
 
     def test_bad_row_sum_reported_as_rate_matrix_failure(self):
         doc = json.loads(json.dumps(FINITE_DOC))
@@ -493,6 +502,21 @@ class TestFileLevelErrors:
         path.write_text("[1, 2]\n")
         with pytest.raises(SchemaError, match="top level"):
             parse_model_file(path)
+
+    def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
+        """Nesting past the recursion limit, met by the decoder or by the schema check, exits 1 with no traceback."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        assert run_command(["analyze", "--model", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: nested too deeply to parse\n")
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 150, limit + 10):
+            lam = "[" * depth + "]" * depth
+            path.write_text(f'{{"schema_version": 1, "type": "finite", "finite": '
+                            f'{{"d": 2, "lambda": {lam}, "h": [[0], [1]]}}}}')
+            assert run_command(["analyze", "--model", str(path)]) == 1  # RecursionError would propagate
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ")
 
 
 class TestRoundTrip:
