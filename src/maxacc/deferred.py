@@ -1,8 +1,10 @@
 """Modules imported on first use.
 
 scipy.linalg and jsonschema take most of a cold start, and the finite-state
-verdict, `maxacc report` and every valid model file need neither. A module
-that needs one holds a DeferredModule under the name it would have imported.
+verdict and sweep, `maxacc report` and every valid model file need neither.
+A module that needs one holds a DeferredModule under the name it would have
+imported: `lingauss.sla` for the linear-Gaussian checks and Riccati solves,
+and `modelfile.jsonschema` for the messages of a rejected document.
 """
 
 from __future__ import annotations

@@ -223,8 +223,12 @@ def classify_trend(rows: list[SweepRow], base_variance: float) -> str:
     final two estimates within twice their combined confidence half-widths of
     each other and above 0.1 * base variance means plateau. Anything else is
     undecided. Exact rows carry a synthetic relative half-width so the same
-    band logic applies to Riccati sweeps.
+    band logic applies to Riccati sweeps. A sweep whose smallest-kappa row
+    failed is undecided: the question is about small kappa, and the rows left
+    cannot answer it.
     """
+    if rows and min(rows, key=lambda r: r.kappa).status != "ok":
+        return "undecided"
     rows = sorted((r for r in rows if r.status == "ok"), key=lambda r: -r.kappa)
     if len(rows) < 2:
         return "undecided"

@@ -24,14 +24,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .deferred import DeferredModule
 from .errors import DegenerateWeight
 from .finite_analysis import finite_verdict
 from .markov import FiniteStateModel, integrated_observation, sample_path, state_at
 from .verdicts import (SweepResult, SweepRow, check_kappa, check_kappas, check_positive, check_test_function,
                        row_failure)
-
-sla = DeferredModule("scipy.linalg")  # imported by the first transition matrix
 
 BLOCK_STEPS = 16384         # grid steps precomputed per vectorized block
 CHUNK_TRIALS = 64           # trials per work item; fixed so results never depend on pool size
@@ -42,6 +39,7 @@ TRIAL_STEP_BUDGET = 10_000_000_000  # trials * grid steps per sweep row
 MAX_TRIALS = 1_000_000     # trials per sweep row; each costs ~0.25 ms on one core whatever its grid
 DT_FACTOR = 0.5             # default step: dt = DT_FACTOR * kappa^2 ...
 DT_MIN = 1e-6               # ... but never below DT_MIN
+TAYLOR_TERMS = 20           # terms of the series for exp(M) at |M|_1 <= 0.5
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,26 @@ def auto_burn_in(model: FiniteStateModel) -> float:
 
 
 def _transition(model: FiniteStateModel, dt: float) -> np.ndarray:
-    """One-step transition matrix exp(Lambda dt), clipped back onto row-stochastic form."""
-    T = sla.expm(model.Lambda * dt)
+    """One-step transition matrix exp(Lambda dt), clipped back onto row-stochastic form.
+
+    Scaling and squaring in numpy alone, so a finite sweep never imports
+    scipy: M = Lambda dt is halved s times until its 1-norm is at most 0.5,
+    exp(M / 2^s) is its Taylor series to TAYLOR_TERMS terms (the rest is
+    below 0.5^21 / 21! ~ 1e-26), and s squarings undo the halving. Stated
+    bound, pinned by tests/test_wonham.py: every entry within 1e-13 of
+    scipy.linalg.expm for d <= 8 and dt from DT_MIN to 5 / (largest exit
+    rate), past the auto_dt cap of 0.2 / rate.
+    """
+    M = model.Lambda * dt
+    mantissa, exponent = math.frexp(float(np.abs(M).sum(axis=0).max(initial=0.0)))
+    squarings = max(0, exponent + (mantissa > 0.5))  # the least s with norm / 2^s <= 0.5
+    M = np.ldexp(M, -squarings)  # exact, and 2.0**squarings would overflow past 1023
+    eye = np.eye(len(M))
+    T = eye
+    for k in range(TAYLOR_TERMS, 0, -1):  # Horner form: I + M (I + M/2 (I + M/3 (...)))
+        T = eye + (M @ T) / k
+    for _ in range(squarings):
+        T = T @ T
     T = np.clip(T, 0.0, None)
     return T / T.sum(axis=1, keepdims=True)
 
@@ -246,6 +262,7 @@ def _filter_increments(
         raise DegenerateWeight("all likelihood weights underflowed; dt too large for this kappa")
     # The shifted weights overwrite the log-weights: one block-sized array fewer.
     state_part -= top
+    del top, shared  # not held through the recursion, which copies the block twice more
     weights = np.exp(state_part, out=state_part)
     return _filter_block(mu, T_dt, np.moveaxis(weights, 0, -1))
 
@@ -397,10 +414,12 @@ def _chunk_trial_means(
             fX[b] = state_at(jt, fvals[st], times[1:])  # f(X) is a path with X's jumps
         out = _filter_increments(model, mu, T_dt, inc, kappa, dt)
         mu = out[:, -1, :].copy()
-        first = max(burn_steps - start, 0)
-        if first < blk:
-            est = out[:, first:, :] @ fvals
-            err_sum += np.sum((fX[:, first:] - est) ** 2, axis=1)
+        first = max(burn_steps - start, 0)  # est is empty while the block is all burn-in
+        est = out[:, first:, :] @ fvals
+        # (fX - est)^2 in place, and neither block result lives on through the
+        # next block's recursion.
+        err_sum += np.sum(np.square(np.subtract(fX[:, first:], est, out=est), out=est), axis=1)
+        del out, est
     return err_sum / (steps - burn_steps)
 
 

@@ -264,6 +264,19 @@ class TestSweepFinite:
         assert code in (0, 2)
         assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == kappas
 
+    def test_failed_smallest_kappa_row_is_undecided(self, capsys):
+        """dt 5 cannot resolve kappa 0.02; the two rows left read as a plateau on a maximally accurate chain."""
+        code, out, err = run(capsys, "sweep", "--model", TWOSTATE, "--dt", "5", "--trials", "16",
+                             "--horizon", "100")
+        assert code == 2
+        assert [line.split(",")[1] != "" for line in out.splitlines()[1:]] == [True, True, False]
+        assert {line.rsplit(",", 1)[1] for line in out.splitlines()[1:]} == {"UNDECIDED"}
+        assert err == (
+            "note: kappa=0.02: error: DegenerateWeight: all likelihood weights underflowed; "
+            "dt too large for this kappa\n"
+            "sweep flag: UNDECIDED (trend 'undecided')\n"
+        )
+
 
 class TestSweepLinearGaussian:
     @pytest.mark.parametrize("name", ["ks_example", "ks_minimum_phase", "ks_boundary_zero"])

@@ -1,8 +1,8 @@
 """scipy.linalg and jsonschema are imported on first use, not by `import maxacc`.
 
-The finite-state verdict, `maxacc report` and every valid model file need
-neither, so a cold process that does only those never loads them. Each
-check that needs a cold interpreter runs in a fresh subprocess.
+The finite-state verdict and sweep, `maxacc report` and every valid model
+file need neither, so a cold process that does only those never loads them.
+Each check that needs a cold interpreter runs in a fresh subprocess.
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ class TestColdStart:
     @pytest.mark.parametrize("argv", [
         ["analyze", "--model", "models/threestate.json"],
         ["reverse", "--model", "models/threestate.json", "--json"],
+        ["sweep", "--model", "models/constant_obs.json", "--trials", "2", "--horizon", "10"],
     ])
     def test_finite_commands_load_neither(self, argv):
         code, out, err, loaded = cold_command(*argv)
@@ -144,14 +145,13 @@ class TestColdStart:
         assert (code, out, loaded) == (1, "", ["jsonschema"])
         assert err == "error: $.finite.h[1][0]: True is not of type 'number', 'string'\n"
 
-    def test_pool_threads_touching_expm_first_match_one_thread(self):
-        """Both workers of a 2-chunk estimate reach the deferred expm before scipy is loaded."""
+    def test_pool_threads_match_one_thread_on_numpy_alone(self):
+        """A 2-chunk estimate on two pool threads matches one thread bit for bit, and loads no scipy."""
         code = (
             "import sys\n"
             "from maxacc import FiniteStateModel\n"
             "from maxacc.wonham import estimate_stationary_error\n"
             "model = FiniteStateModel([[-1.0, 1.0], [1.0, -1.0]], [[0.0], [1.0]])\n"
-            "assert 'scipy.linalg' not in sys.modules\n"
             "est, se = estimate_stationary_error(model, [0.0, 1.0], 0.5, trials=128, horizon=10.0, seed=8)\n"
             "print(est.hex(), se.hex(), 'scipy.linalg' in sys.modules)\n"
         )
@@ -159,7 +159,7 @@ class TestColdStart:
         for proc in runs:
             assert proc.returncode == 0, proc.stderr
         assert runs[0].stdout == runs[1].stdout
-        assert runs[0].stdout.endswith(" True\n")
+        assert runs[0].stdout.endswith(" False\n")
 
 
 def test_no_module_imports_scipy_or_jsonschema():
@@ -176,3 +176,13 @@ def test_no_module_imports_scipy_or_jsonschema():
             found += [f"{path.name}: {name}" for name in names
                       if name.split(".")[0] in ("scipy", "jsonschema")]
     assert found == []
+
+
+def test_only_lingauss_and_modelfile_build_deferred_modules():
+    """The finite path needs numpy alone: no other module holds a stand-in."""
+    found = set()
+    for path in sorted((SRC_DIR / "maxacc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "DeferredModule":
+                found.add(path.name)
+    assert found == {"lingauss.py", "modelfile.py"}

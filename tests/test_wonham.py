@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import random_finite_model
 from maxacc import (
     FiniteStateModel,
     estimate_stationary_error,
@@ -18,7 +20,7 @@ from maxacc import (
 from maxacc import wonham
 from maxacc.errors import DegenerateWeight
 from maxacc.verdicts import F_MAX, UNDECIDED
-from maxacc.wonham import SimParams, auto_burn_in, auto_dt
+from maxacc.wonham import DT_MIN, SimParams, auto_burn_in, auto_dt
 
 SYM2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -49,6 +51,30 @@ class TestStepPolicies:
 
     def test_auto_burn_in_frozen_chain(self):
         assert auto_burn_in(FiniteStateModel([[0.0]], [1.0])) == 0.0
+
+
+class TestTransition:
+    EXPM_TOL = 1e-13  # largest entry difference from scipy.linalg.expm
+
+    def test_matches_scipy_expm_over_the_step_range(self):
+        """d = 1 to 8, an absorbing state, dt from DT_MIN past auto_dt's cap to a 5 / rate user dt."""
+        import scipy.linalg
+
+        rng = np.random.default_rng(22)
+        models = [FiniteStateModel([[0.0]], [1.0]), FiniteStateModel([[-1.0, 1.0], [0.0, 0.0]], [0.0, 1.0])]
+        models += [random_finite_model(rng, d_max=8) for _ in range(100)]
+        assert {model.d for model in models} == set(range(1, 9))
+        for model in models:
+            rate = float(np.max(-np.diag(model.Lambda))) or 1.0
+            for dt in [*np.geomspace(DT_MIN, 0.2 / rate, 7), 1.0 / rate, 5.0 / rate]:
+                T = wonham._transition(model, dt)
+                assert np.max(np.abs(T - scipy.linalg.expm(model.Lambda * dt))) <= self.EXPM_TOL
+                assert np.all(T >= 0.0)
+                assert np.max(np.abs(T.sum(axis=1) - 1.0)) <= 1e-15
+
+    def test_absorbing_state_stays_absorbing_exactly(self):
+        T = wonham._transition(FiniteStateModel([[-1.0, 1.0], [0.0, 0.0]], [0.0, 1.0]), 3.0)
+        assert T[1].tolist() == [0.0, 1.0]
 
 
 class TestRunFilter:
@@ -243,6 +269,20 @@ class TestEstimator:
         monkeypatch.setenv("MAXACC_THREADS", "4")
         parallel = estimate_stationary_error(model, f, 0.5, **kwargs)
         assert serial == parallel
+
+    def test_working_set_stays_under_four_and_a_half_blocks(self, monkeypatch):
+        """A two-block row (16384 + 3616 steps) peaks at about 4.07 arrays of batch x BLOCK_STEPS x d."""
+        monkeypatch.setenv("MAXACC_THREADS", "1")
+        model, f = two_state(), np.array([0.0, 1.0])
+        estimate_stationary_error(model, f, 0.05, trials=32, horizon=25.0)  # warm-up
+        tracemalloc.start()
+        try:
+            estimate_stationary_error(model, f, 0.05, trials=32, horizon=25.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 32 * wonham.BLOCK_STEPS * model.d * 8
+        assert peak <= 4.5 * block
 
     def test_argument_validation(self):
         model = two_state()
