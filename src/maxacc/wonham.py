@@ -144,8 +144,10 @@ def _filter_block(
 
     mu: (batch, d) current filter states; weights: (batch, steps, d)
     nonnegative likelihood factors, already shifted per row for stability.
-    Returns the (batch, steps, d) path of corrected filter states. Mass is
-    checked once per block: a row whose mass vanishes or turns NaN stays NaN.
+    The (batch, steps, d) path of corrected filter states is written over
+    weights, in whatever layout weights has, and weights is returned: a
+    caller that still needs its factors passes a copy. Mass is checked once
+    per block: a row whose mass vanishes or turns NaN stays NaN.
 
     The recursion mu_{k+1} ∝ mu_k T diag(w_k) is linear up to normalization,
     so it runs as a two-level scan over chunks of about sqrt(steps) steps:
@@ -155,6 +157,9 @@ def _filter_block(
     is about 3 sqrt(steps) array operations instead of steps of them. Pass 1
     costs d^2 per trial-step against d for the plain recursion, so past
     SCAN_MAX_BATCH_D2 the block is one chunk and pass 3 is that recursion.
+    The passes run in a step-major copy of the block, released before
+    returning, so the kernel holds two block-sized arrays: weights and that
+    copy.
     """
     batch, steps, d = weights.shape
     # A block whose weights are all 1 carries no information: stepwise, a
@@ -187,11 +192,10 @@ def _filter_block(
             prods[np.arange(d), np.arange(d)] = 1.0
             prods = prods.reshape(d, -1)
             logr = np.zeros(prods.shape[1])
-            w1 = wk[:, :, None, :, :-1]
             for k in range(length):
                 prods = TT @ prods
                 step = prods.reshape(shape)
-                step *= w1[k]
+                step *= wk[k, :, None, :, :-1]
                 s = ones @ prods
                 prods /= s
                 logr += np.log(s)
@@ -215,11 +219,14 @@ def _filter_block(
             step *= wk[k]
             m /= ones @ m
             wk[k] = step
-    out = np.ascontiguousarray(w.transpose(0, 3, 1, 2)).reshape(batch, chunks * length, d)
-    out = out[:, :steps]
-    if not np.all(np.isfinite(out[:, -1])):
+    # The path goes back through the views the weights came in by (splitting
+    # the step axis is a view in any layout), so no block-sized temporary.
+    weights[:, :head].reshape(batch, chunks - 1, length, d)[:] = w[..., :-1].transpose(0, 3, 1, 2)
+    weights[:, head:] = w[:, : steps - head, :, -1]
+    del w, wk
+    if not np.all(np.isfinite(weights[:, -1])):
         raise DegenerateWeight("filter mass vanished; refine dt for this kappa")
-    return out
+    return weights
 
 
 def _log_weights(
@@ -255,14 +262,22 @@ def _filter_increments(
     model: FiniteStateModel, mu: np.ndarray, T_dt: np.ndarray,
     inc: np.ndarray, kappa: float, dt: float,
 ) -> np.ndarray:
-    """Filter a (batch, steps, n) block of increments from states mu to (batch, steps, d)."""
+    """Filter a (batch, steps, n) block of increments from states mu to its (batch, steps, d) path.
+
+    The log-weights are shifted, exponentiated and then overwritten by the
+    path in place, so the path comes back as a view of their state-major
+    (d, batch, steps) storage. inc is dropped once the log-weights are built:
+    a caller that passes the block without keeping a name on it frees it
+    before the recursion, which then holds two block-sized arrays.
+    """
     state_part, shared = _log_weights(inc, model.h, kappa, dt)
+    del inc
     top = functools.reduce(np.maximum, state_part)
-    if np.any(top + shared < LOG_TINY):
+    shared += top  # the full log-likelihood of each step's most likely state
+    if np.any(shared < LOG_TINY):
         raise DegenerateWeight("all likelihood weights underflowed; dt too large for this kappa")
-    # The shifted weights overwrite the log-weights: one block-sized array fewer.
     state_part -= top
-    del top, shared  # not held through the recursion, which copies the block twice more
+    del top, shared
     weights = np.exp(state_part, out=state_part)
     return _filter_block(mu, T_dt, np.moveaxis(weights, 0, -1))
 
@@ -335,10 +350,9 @@ def simulate_bundle(
     steps = _grid_steps(horizon, dt)
     if steps == 0:
         raise ValueError(f"horizon {horizon:g} rounds to 0 grid steps of dt {dt:g}")
-    path, obs_rng = _trial_path(model, seed, 0, steps * dt)
-    inc = np.empty((steps, model.n))
-    _observe(path, model.h, np.arange(steps + 1) * dt, kappa * np.sqrt(dt), obs_rng, inc)
-    return TrajectoryBundle(*path, inc, dt, kappa, seed)
+    trial = _trial_path(model, seed, 0, steps * dt)
+    inc = _observe([trial], model.h, np.arange(steps + 1) * dt, kappa * np.sqrt(dt))
+    return TrajectoryBundle(*trial[0], inc[0], dt, kappa, seed)
 
 
 def _grid_steps(horizon: float, dt: float) -> int:
@@ -370,19 +384,23 @@ def _trial_path(
 
 
 def _observe(
-    path: tuple[np.ndarray, np.ndarray], h: np.ndarray, times: np.ndarray,
-    noise_scale: float, rng: np.random.Generator, out: np.ndarray,
-) -> None:
-    """Write the observation increments over the cells of the grid `times` into out.
+    trials: list[tuple[tuple[np.ndarray, np.ndarray], np.random.Generator]], h: np.ndarray,
+    times: np.ndarray, noise_scale: float,
+) -> np.ndarray:
+    """The (trials, cells, n) observation increments of each trial over the cells of the grid `times`.
 
     Each increment is the exact integral of h over its cell (from the jump
     times, not endpoint samples) plus noise_scale times a standard normal.
-    The draws are those of rng.standard_normal(out.shape), so a grid filled
-    block by block gets the increments it gets filled at once.
+    A trial's draws are those of rng.standard_normal((cells, n)) from its
+    noise generator, so a grid filled block by block gets the increments it
+    gets filled at once.
     """
-    rng.standard_normal(out=out)
-    out *= noise_scale
-    out += np.diff(integrated_observation(*path, h, times), axis=0)
+    inc = np.empty((len(trials), len(times) - 1, h.shape[1]))
+    for row, (path, rng) in zip(inc, trials):
+        rng.standard_normal(out=row)
+        row *= noise_scale
+        row += np.diff(integrated_observation(*path, h, times), axis=0)
+    return inc
 
 
 def _chunk_trial_means(
@@ -406,20 +424,19 @@ def _chunk_trial_means(
     for start in range(0, steps, BLOCK_STEPS):
         blk = min(BLOCK_STEPS, steps - start)
         times = (start + np.arange(blk + 1)) * dt
-        inc = np.empty((batch, blk, model.n))
-        fX = np.empty((batch, blk))
-        for b, (path, obs_rng) in enumerate(trials):
-            _observe(path, model.h, times, noise_scale, obs_rng, inc[b])
-            jt, st = path
-            fX[b] = state_at(jt, fvals[st], times[1:])  # f(X) is a path with X's jumps
-        out = _filter_increments(model, mu, T_dt, inc, kappa, dt)
-        mu = out[:, -1, :].copy()
+        # The increments are handed straight over, with no name here, so
+        # _filter_increments frees them before the recursion.
+        path = _filter_increments(model, mu, T_dt, _observe(trials, model.h, times, noise_scale), kappa, dt)
+        mu = path[:, -1, :].copy()
         first = max(burn_steps - start, 0)  # est is empty while the block is all burn-in
-        est = out[:, first:, :] @ fvals
-        # (fX - est)^2 in place, and neither block result lives on through the
-        # next block's recursion.
-        err_sum += np.sum(np.square(np.subtract(fX[:, first:], est, out=est), out=est), axis=1)
-        del out, est
+        est = path[:, first:] @ fvals  # read in the path's state-major storage, not copied
+        del path  # neither path nor est is held through the next block's recursion
+        # (est - f(X))^2 in place, one trial's f(X) at a time: f(X) is a path
+        # with X's jumps, and est - f(X) is -(f(X) - est) exactly.
+        for b, ((jt, st), _) in enumerate(trials):
+            est[b] -= state_at(jt, fvals[st], times[1 + first:])
+        err_sum += np.sum(np.square(est, out=est), axis=1)
+        del est
     return err_sum / (steps - burn_steps)
 
 
@@ -447,9 +464,10 @@ def estimate_stationary_error(
     check_kappa(kappa)
     dt, burn_in = SimParams(trials, horizon, dt, burn_in, seed).resolve(model, kappa)
     steps = _grid_steps(horizon, dt)
-    burn_steps = int(np.floor(burn_in / dt + 1e-9))
-    if burn_steps >= steps:
+    burn = burn_in / dt + 1e-9  # compared as a float, before int() can overflow on it
+    if burn >= steps:
         raise ValueError(f"horizon {horizon} leaves no samples after burn-in {burn_in}")
+    burn_steps = math.floor(burn)
     if trials * steps > TRIAL_STEP_BUDGET:
         raise ValueError(
             f"trials {trials} of {steps} grid steps need {trials * steps} trial-steps, "

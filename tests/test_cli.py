@@ -415,6 +415,18 @@ class TestErrors:
         assert "note: kappa=0.5: error: ValueError: dt 1e-10 needs inf grid steps per trial" in err
         assert [line.split(",")[1] for line in out.splitlines()[1:]] == [""]
 
+    @pytest.mark.parametrize("burn_in, shown", [("100", "100.0"), ("1e308", "1e+308")])
+    def test_burn_in_past_the_horizon_fails_per_row(self, capsys, burn_in, shown):
+        """A burn-in whose step count overflows to inf reads like any other past the horizon."""
+        code, out, err = run(
+            capsys, "sweep", "--model", TWOSTATE, "--burn-in", burn_in, "--dt", "0.001",
+            "--kappa", "0.5", "--trials", "2", "--horizon", "5",
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"note: kappa=0.5: error: ValueError: horizon 5.0 leaves no samples after burn-in {shown}" in err
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == [""]
+
     @pytest.mark.parametrize("argv, message", [
         (["zeros", "--model", TWOSTATE], "zeros requires a linear_gaussian model"),
         (["reverse", "--model", KS_EXAMPLE], "reverse requires a finite model"),

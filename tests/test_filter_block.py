@@ -81,6 +81,25 @@ def test_scan_and_single_chunk_paths_are_both_taken():
     assert 64 * 3 * 3 <= wonham.SCAN_MAX_BATCH_D2 < 64 * 6 * 6
 
 
+@pytest.mark.parametrize("layout", ["trial_major", "state_major"])
+@pytest.mark.parametrize("batch, steps, d", [(3, 57, 2), (64, 65, 6)])
+def test_path_overwrites_the_weights(layout, batch, steps, d):
+    """The path is written into the weights array, in its own layout, and that
+    array is returned; a scanned block (3 x 57 x 2) and a one-chunk one (64 x 65 x 6)."""
+    rng = np.random.default_rng([batch, steps, d])
+    T = random_chain(d, rng)
+    factors = shifted_weights(rng.normal(0.0, 2.0, (batch, steps, d)))
+    mu = rng.dirichlet(np.ones(d), size=batch)
+    if layout == "trial_major":
+        weights = factors.copy()
+    else:  # the (d, batch, steps) storage the estimator filters in
+        weights = np.moveaxis(np.ascontiguousarray(np.moveaxis(factors, -1, 0)), 0, -1)
+    out = wonham._filter_block(mu, T, weights)
+    assert out is weights
+    assert np.shares_memory(out, weights)
+    assert np.max(np.abs(out - reference_filter(mu, T, factors))) <= TOL
+
+
 def test_uninformative_block_keeps_the_stationary_law_exactly():
     """All weights 1 (constant h): step by step, pi = (1/2, 1/2) is an exact
     fixed point of the symmetric chain, and the block must keep it so."""
@@ -115,7 +134,7 @@ def test_dead_start_state_does_not_fail_a_live_filter():
     weights = np.ones((2, steps, 2))
     weights[:, 250, 1] = 0.0
     mu = np.array([[0.9, 0.1], [0.2, 0.8]])
-    assert_same_outcome(mu, T, weights)
+    assert_same_outcome(mu, T, weights.copy())
     assert np.all(np.isfinite(wonham._filter_block(mu, T, weights)))
 
 

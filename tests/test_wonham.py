@@ -121,6 +121,19 @@ class TestRunFilter:
         assert mass_f[burn:].mean() > 0.95
         assert abs(mass_c[burn:].mean() - mass_f[burn:].mean()) < 0.01
 
+    def test_observation_record_is_left_unchanged(self):
+        """The filter overwrites its own weights, never the increments it reads:
+        over a two-block record, given 2-D or as a 1-D view, the bundle's
+        increments still equal a fresh bundle's and a second run repeats the first."""
+        model = two_state()
+        bundle = simulate_bundle(model, 25.0, kappa=0.05, dt=0.00125, seed=5)
+        assert bundle.obs_increments.shape[0] > wonham.BLOCK_STEPS
+        first = run_filter(model, bundle.obs_increments, 0.05, 0.00125)
+        second = run_filter(model, bundle.obs_increments[:, 0], 0.05, 0.00125)
+        fresh = simulate_bundle(model, 25.0, kappa=0.05, dt=0.00125, seed=5)
+        assert np.array_equal(bundle.obs_increments, fresh.obs_increments)
+        assert np.array_equal(first, second)
+
     def test_underflowed_weights_raise(self):
         """An increment inconsistent with every state must not pass silently."""
         model = two_state()
@@ -270,19 +283,23 @@ class TestEstimator:
         parallel = estimate_stationary_error(model, f, 0.5, **kwargs)
         assert serial == parallel
 
-    def test_working_set_stays_under_four_and_a_half_blocks(self, monkeypatch):
-        """A two-block row (16384 + 3616 steps) peaks at about 4.07 arrays of batch x BLOCK_STEPS x d."""
+    @pytest.mark.parametrize("horizon", [25.0, 80.0])
+    def test_working_set_stays_under_two_and_a_half_blocks(self, monkeypatch, horizon):
+        """One kappa 0.05 estimate peaks at 2.09 arrays of batch x BLOCK_STEPS x d, both
+        as a two-block row (horizon 25: 16384 + 3616 steps) and a four-block one (horizon
+        80): the weights the path overwrites and the kernel's step-major copy, with no
+        block-sized array outliving its block."""
         monkeypatch.setenv("MAXACC_THREADS", "1")
         model, f = two_state(), np.array([0.0, 1.0])
-        estimate_stationary_error(model, f, 0.05, trials=32, horizon=25.0)  # warm-up
+        estimate_stationary_error(model, f, 0.05, trials=32, horizon=horizon)  # warm-up
         tracemalloc.start()
         try:
-            estimate_stationary_error(model, f, 0.05, trials=32, horizon=25.0)
+            estimate_stationary_error(model, f, 0.05, trials=32, horizon=horizon)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         block = 32 * wonham.BLOCK_STEPS * model.d * 8
-        assert peak <= 4.5 * block
+        assert peak <= 2.5 * block
 
     def test_argument_validation(self):
         model = two_state()
