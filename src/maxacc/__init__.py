@@ -18,7 +18,6 @@ from .finite_analysis import (
 from .lingauss import (
     LinearGaussianModel,
     RiccatiSolution,
-    detectability_gain,
     kappa_sweep_lg,
     ks_check,
     lyapunov_solve,
@@ -30,7 +29,6 @@ from .lingauss import (
 )
 from .modelfile import (
     ParsedModelFile,
-    model_file_json,
     model_hash,
     parse_model_dict,
     parse_model_file,

@@ -59,6 +59,7 @@ SHIFT_TOL = 1e-10           # relative distance to an eigenvalue that blocks eva
 RICCATI_RESIDUAL = 1e-8     # relative residual bound on the stationary equation
 PSD_TOL = 1e-10
 COMPRESSION_SEED = 0x5EED   # seeds the random row compressions of tall systems
+GAIN_MARGIN = 1e-6          # reduce_unstable puts every eigenvalue of A - KH left of -GAIN_MARGIN
 
 
 def _svd_rank(s: np.ndarray) -> int:
@@ -123,18 +124,18 @@ class LinearGaussianModel:
         return self.H.shape[0]
 
 
-def is_stable(A: np.ndarray, margin: float = 0.0) -> bool:
-    """True when every eigenvalue of A has real part below -margin."""
-    return bool(np.max(np.linalg.eigvals(A).real) < -margin)
+def is_stable(A: np.ndarray) -> bool:
+    """True when every eigenvalue of A has negative real part."""
+    return bool(np.max(np.linalg.eigvals(A).real) < 0)
 
 
-def _pbh_rank_ok(A: np.ndarray, eigs: np.ndarray, other: np.ndarray, stack_rows: bool) -> bool:
-    """PBH test: full rank of the pencil at every eigenvalue (eigs of A) with Re >= 0."""
+def _pbh_rank_ok(A: np.ndarray, eigs: np.ndarray, B: np.ndarray) -> bool:
+    """PBH test: [A - lam I, B] has full row rank at every eigenvalue lam of A with Re >= 0.
+
+    That is stabilizability of (A, B); detectability of (A, H) is the test on (A^T, H^T)."""
     p = A.shape[0]
     for lam in eigs[eigs.real >= -1e-9]:
-        shifted = A - lam * np.eye(p)
-        M = np.vstack([shifted, other]) if stack_rows else np.hstack([shifted, other])
-        if _rank(M) < p:
+        if _rank(np.hstack([A - lam * np.eye(p), B])) < p:
             return False
     return True
 
@@ -151,8 +152,8 @@ def validate_model(model: LinearGaussianModel) -> dict:
     model.
     """
     stable = bool(np.max(model.eigs.real) < 0)
-    stabilizable = _pbh_rank_ok(model.A, model.eigs, model.D, stack_rows=False)
-    detectable = _pbh_rank_ok(model.A, model.eigs, model.H, stack_rows=True)
+    stabilizable = _pbh_rank_ok(model.A, model.eigs, model.D)
+    detectable = _pbh_rank_ok(model.A.T, model.eigs, model.H.T)
     if not stable and not (stabilizable and detectable):
         raise NotDetectableOrStabilizable(
             "A is unstable and (A, D) stabilizable / (A, H) detectable fails"
@@ -383,71 +384,28 @@ def ks_check(model: LinearGaussianModel) -> Verdict:
     )
 
 
-def detectability_gain(
-    A: np.ndarray,
-    H: np.ndarray,
-    margin: float = 1e-6,
-    weight: float = 1.0,
-) -> np.ndarray:
-    """A gain K such that A - KH is stable with the requested margin.
+def reduce_unstable(model: LinearGaussianModel) -> LinearGaussianModel:
+    """Replace A by A - KH for a stabilizing K; D and H are unchanged.
 
-    Parameters
-    ----------
-    A, H : system matrices with (A, H) detectable.
-    margin : every eigenvalue of A - KH must satisfy Re < -margin.
-    weight : state weight of the underlying dual Riccati construction. Any
-        positive value yields a valid gain; different weights give
-        different gains, which is useful for checking that downstream
-        verdicts do not depend on the choice.
-
-    Returns K = 0 when A already meets the margin. The gain is otherwise the
-    dual LQ solution X H^T with X solving the shifted dual Riccati equation,
-    so the margin is met by construction and re-verified on the eigenvalues.
+    The open right-half-plane zeros of H (lam I - A)^{-1} D, and so the
+    verdict, do not depend on K, so one K serves. A stable model comes back
+    unchanged; otherwise K = X H^T, with X the dual Riccati solution for
+    A + GAIN_MARGIN I and unit weights, puts every eigenvalue of A - KH left
+    of -GAIN_MARGIN, re-verified on the reduced model's own eigs.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    p = A.shape[0]
-    eigs = np.linalg.eigvals(A)
-    if not _pbh_rank_ok(A, eigs, H, stack_rows=True):
-        raise NotDetectable("(A, H) fails the PBH detectability test")
-    if np.max(eigs.real) < -margin:
-        return np.zeros((p, H.shape[0]))
-    shifted = A + margin * np.eye(p)
+    if model.stable:
+        return model
     try:
         X = sla.solve_continuous_are(
-            shifted.T, H.T, weight * np.eye(p), np.eye(H.shape[0])
+            (model.A + GAIN_MARGIN * np.eye(model.p)).T, model.H.T, np.eye(model.p), np.eye(model.n)
         )
     except np.linalg.LinAlgError as exc:
         raise NotDetectable(f"dual Riccati construction failed: {exc}") from exc
-    K = X @ H.T
-    if not is_stable(A - K @ H, margin=margin * (1 - 1e-9)):
+    K = X @ model.H.T
+    reduced = LinearGaussianModel(model.A - K @ model.H, model.D, model.H)
+    if not np.max(reduced.eigs.real) < -GAIN_MARGIN * (1 - 1e-9):
         raise NotDetectable("constructed gain misses the stability margin")
-    return K
-
-
-def reduce_unstable(
-    model: LinearGaussianModel, gain: np.ndarray | None = None
-) -> LinearGaussianModel:
-    """Replace A by A - KH for a stabilizing K; D and H are unchanged.
-
-    The zero structure of H (lam I - A)^{-1} D in the open right half plane,
-    and hence the maximal-accuracy verdict, is invariant under this
-    substitution for any valid K. A stable model with no explicit gain is
-    returned unchanged (the K = 0 path).
-    """
-    if gain is None:
-        if model.stable:
-            return model
-        # detectability_gain has checked that this very A - KH is stable.
-        K = detectability_gain(model.A, model.H)
-        return LinearGaussianModel(model.A - K @ model.H, model.D, model.H)
-    K = np.atleast_2d(np.asarray(gain, dtype=float))
-    if K.shape != (model.p, model.n):
-        raise DimensionMismatch(f"gain must be {model.p} x {model.n}, got {K.shape}")
-    Abar = model.A - K @ model.H
-    if not is_stable(Abar):
-        raise NotStable("provided gain does not stabilize A - KH")
-    return LinearGaussianModel(Abar, model.D, model.H)
+    return reduced
 
 
 @dataclass

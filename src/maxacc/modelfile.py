@@ -378,10 +378,6 @@ def serialize_model(parsed: ParsedModelFile) -> dict:
     return doc
 
 
-def model_file_json(parsed: ParsedModelFile) -> str:
-    return json.dumps(serialize_model(parsed), indent=2) + "\n"
-
-
 def model_hash(parsed: ParsedModelFile) -> str:
     """Hash of the model content only; sweep defaults do not change identity."""
     doc = serialize_model(parsed)

@@ -189,9 +189,6 @@ class SweepResult:
         trend = classify_trend(rows, base)
         return cls(rows, base, trend, consistency_flag(trend, verdict.maximal_accuracy), verdict)
 
-    def ok_rows(self) -> list[SweepRow]:
-        return [r for r in self.rows if r.status == "ok"]
-
     def to_csv(self) -> str:
         """Fixed-schema CSV; float fields use repr so output is byte-stable."""
         buf = io.StringIO()

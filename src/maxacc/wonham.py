@@ -47,7 +47,8 @@ class SimParams:
     """Settings of the Monte-Carlo estimator; dt and burn_in None mean derive from the model.
 
     Construction checks every field: a ValueError whose message starts with
-    the field name, so callers only rename the field. Whether a burn-in
+    the field name, so callers only rename the field. trials and seed must be
+    integers (a bool is refused) and are stored as int. Whether a burn-in
     leaves samples depends on dt, so the estimator checks that per kappa.
     """
 
@@ -58,6 +59,11 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         check_positive("horizon", self.horizon)
@@ -429,8 +435,13 @@ def _chunk_trial_means(
         path = _filter_increments(model, mu, T_dt, _observe(trials, model.h, times, noise_scale), kappa, dt)
         mu = path[:, -1, :].copy()
         first = max(burn_steps - start, 0)  # est is empty while the block is all burn-in
-        est = path[:, first:] @ fvals  # read in the path's state-major storage, not copied
-        del path  # neither path nor est is held through the next block's recursion
+        # est = f_0 p_0 + f_1 p_1 + ... in state order, read in place from the path's
+        # state-major planes, so no choice of BLAS kernel reaches its bits.
+        planes = np.moveaxis(path, -1, 0)[:, :, first:]
+        est = planes[0] * fvals[0]
+        for k in range(1, model.d):
+            est += planes[k] * fvals[k]
+        del path, planes  # neither path nor est is held through the next block's recursion
         # (est - f(X))^2 in place, one trial's f(X) at a time: f(X) is a path
         # with X's jumps, and est - f(X) is -(f(X) - est) exactly.
         for b, ((jt, st), _) in enumerate(trials):

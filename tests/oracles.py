@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+from scipy.linalg import solve_continuous_are
 
 from maxacc import FiniteStateModel, time_reverse
 from maxacc.modelfile import DECIMAL, MODEL_FILE_SCHEMA, REPORT_SCHEMA
@@ -93,6 +94,41 @@ def choice_sample_path(
         times.append(t)
         states.append(x)
     return np.asarray(times), np.asarray(states, dtype=np.intp)
+
+
+def _full_rank(M: np.ndarray, rank: int) -> bool:
+    s = np.linalg.svd(M, compute_uv=False)
+    return bool(s[0] > 0 and np.sum(s > RANK_TOL * s[0]) >= rank)
+
+
+def pbh_flags(A: np.ndarray, D: np.ndarray, H: np.ndarray) -> dict:
+    """Reference PBH tests in their stacked forms.
+
+    (A, D) is stabilizable when [A - lam I, D] has full row rank, and (A, H)
+    detectable when [A - lam I; H] (stacked rows) has full column rank, at
+    every eigenvalue lam of A with Re lam >= -1e-9.
+    """
+    p = A.shape[0]
+    eigs = np.linalg.eigvals(A)
+    shifts = [A - lam * np.eye(p) for lam in eigs[eigs.real >= -1e-9]]
+    return {
+        "stabilizable": all(_full_rank(np.hstack([S, D]), p) for S in shifts),
+        "detectable": all(_full_rank(np.vstack([S, H]), p) for S in shifts),
+    }
+
+
+def care_gain(A: np.ndarray, H: np.ndarray, weight: float, margin: float) -> np.ndarray:
+    """Reference stabilizing gain K = X H^T for the output injection A - KH.
+
+    X solves the dual Riccati equation of A + margin I with state weight
+    `weight` and unit noise weight, so every eigenvalue of A - KH has real
+    part below -margin; different weights give different gains.
+    """
+    p = A.shape[0]
+    X = solve_continuous_are(
+        (A + margin * np.eye(p)).T, H.T, weight * np.eye(p), np.eye(H.shape[0])
+    )
+    return X @ H.T
 
 
 # The sim fields that the model-file schema lets be null.

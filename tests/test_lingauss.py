@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from conftest import random_stable_lg, random_unstable_lg
 from maxacc import (
     LinearGaussianModel,
-    detectability_gain,
     kappa_sweep_lg,
     ks_check,
     lyapunov_solve,
@@ -32,6 +31,7 @@ from maxacc.errors import (
 )
 from maxacc.lingauss import CERT_ACCEPT, CERT_REJECT, is_stable
 from maxacc.verdicts import BOUNDARY, LEFT, OPEN_RIGHT
+from oracles import care_gain, pbh_flags
 
 
 def benchmark(H=(1.0, -2.0)) -> LinearGaussianModel:
@@ -369,43 +369,61 @@ class TestKsCheck:
         assert any("output injection" in note for note in verdict.notes)
 
 
-class TestDetectabilityGain:
-    def test_stable_matrix_gets_zero_gain(self):
-        K = detectability_gain(np.array([[-1.0]]), np.array([[1.0]]))
-        assert np.array_equal(K, np.zeros((1, 1)))
+class TestPbhForms:
+    """validate_model's flags against the stacked-form PBH oracle."""
 
-    def test_scalar_unstable(self):
-        K = detectability_gain(np.array([[1.0]]), np.array([[1.0]]))
-        assert 1.0 - K[0, 0] < 0.0
+    @staticmethod
+    def modal(rng, reals, hide_d, hide_h):
+        """p = 4 model with eigenvalue pairs reals[k] +- i w_k; block k hidden from D or H."""
+        blocks = [np.array([[a, w], [-w, a]]) for a, w in zip(reals, rng.uniform(0.5, 2.0, 2))]
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        T = Q @ np.diag(rng.uniform(0.5, 2.0, 4))
+        B, C = rng.standard_normal((4, 1)), rng.standard_normal((1, 4))
+        if hide_d is not None:
+            B[2 * hide_d:2 * hide_d + 2] = 0.0
+        if hide_h is not None:
+            C[:, 2 * hide_h:2 * hide_h + 2] = 0.0
+        Ti = np.linalg.inv(T)
+        return T @ block_diag(*blocks) @ Ti, T @ B, C @ Ti
 
-    def test_double_integrator(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        H = np.array([[1.0, 0.0]])
-        K = detectability_gain(A, H, margin=1e-6)
-        eigs = np.linalg.eigvals(A - K @ H)
-        assert np.max(eigs.real) < -1e-6 * (1 - 1e-9)
+    def test_flags_agree_on_complex_modes(self):
+        """-1e-10 is stable yet inside the PBH band, so a built model can carry a False flag."""
+        rng = np.random.default_rng(29)
+        seen = set()
+        for reals in ((-1e-10, -0.5), (0.7, -0.5), (0.7, -1e-10)):
+            for hide_d in (None, 0, 1):
+                for hide_h in (None, 0, 1):
+                    A, D, H = self.modal(rng, reals, hide_d, hide_h)
+                    expected = pbh_flags(A, D, H)
+                    try:
+                        flags = validate_model(LinearGaussianModel(A, D, H))
+                    except NotDetectableOrStabilizable:
+                        assert np.max(np.linalg.eigvals(A).real) >= 0
+                        assert not (expected["stabilizable"] and expected["detectable"])
+                        seen.add("rejected")
+                        continue
+                    assert {k: flags[k] for k in expected} == expected
+                    seen.update(k for k, v in expected.items() if not v)
+        assert seen == {"rejected", "stabilizable", "detectable"}
 
-    def test_undetectable_pair_rejected(self):
-        with pytest.raises(NotDetectable):
-            detectability_gain(np.diag([1.0, 2.0]), np.array([[1.0, 0.0]]))
-
-    @pytest.mark.parametrize("A, calls", [(np.diag([-1.0, -2.0]), 1), (np.diag([1.0, -2.0]), 2)])
-    def test_one_eigvals_of_a_serves_both_tests(self, monkeypatch, A, calls):
-        """PBH and margin tests share eigvals(A); an unstable A adds the A - KH check."""
-        seen = []
-        original = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda M: seen.append(M) or original(M))
-        detectability_gain(A, np.array([[1.0, 1.0]]))
-        assert len(seen) == calls
-
-    def test_weights_give_distinct_gains(self):
-        A = np.array([[1.0, 0.5], [0.0, 0.8]])
-        H = np.array([[1.0, 1.0]])
-        K1 = detectability_gain(A, H, weight=1.0)
-        K2 = detectability_gain(A, H, weight=7.0)
-        assert not np.allclose(K1, K2)
-        for K in (K1, K2):
-            assert is_stable(A - K @ H)
+    @pytest.mark.parametrize(
+        "A, D, H, failing",
+        [
+            (np.diag([1.0, 2.0]), [[1.0], [1.0]], [[1.0, 0.0]], "detectable"),
+            (np.diag([1.0, 2.0]), [[1.0], [0.0]], [[1.0, 1.0]], "stabilizable"),
+            (block_diag([[0.5, 1.0], [-1.0, 0.5]], [[-1.0]]), [[1.0], [1.0], [1.0]],
+             [[0.0, 0.0, 1.0]], "detectable"),
+        ],
+    )
+    def test_hand_built_pairs(self, A, D, H, failing):
+        A, D, H = np.asarray(A), np.asarray(D), np.asarray(H)
+        expected = pbh_flags(A, D, H)
+        assert [k for k, v in expected.items() if not v] == [failing]
+        eigs = np.linalg.eigvals(A)
+        assert lingauss._pbh_rank_ok(A, eigs, D) == expected["stabilizable"]
+        assert lingauss._pbh_rank_ok(A.T, eigs, H.T) == expected["detectable"]
+        with pytest.raises(NotDetectableOrStabilizable):
+            LinearGaussianModel(A, D, H)
 
 
 class TestReduceUnstable:
@@ -420,29 +438,34 @@ class TestReduceUnstable:
         assert np.array_equal(reduced.D, model.D)
         assert np.array_equal(reduced.H, model.H)
 
+    def test_double_integrator_meets_the_margin(self):
+        model = LinearGaussianModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]])
+        reduced = reduce_unstable(model)
+        eigs = np.linalg.eigvals(reduced.A)
+        assert np.max(eigs.real) < -lingauss.GAIN_MARGIN * (1 - 1e-9)
+
     def test_computed_gain_checks_a_minus_kh_once(self, monkeypatch):
-        """eigvals(A), the gain's stability check, then the reduced model's own eigs."""
+        """The reduced model's own eigs are the only eigenvalues computed."""
         model = LinearGaussianModel(np.diag([1.0, -4.0]), [[1.0], [1.0]], [[1.0, -2.0]])
         seen = []
         original = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda M: seen.append(M) or original(M))
         reduced = reduce_unstable(model)
-        assert len(seen) == 3
-        assert np.array_equal(seen[1], reduced.A) and np.array_equal(seen[2], reduced.A)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], reduced.A)
 
-    def test_explicit_gain_applied(self):
-        model = LinearGaussianModel([[1.0]], [[1.0]], [[1.0]])
-        reduced = reduce_unstable(model, gain=np.array([[3.0]]))
-        assert reduced.A[0, 0] == pytest.approx(-2.0)
+    def test_failed_riccati_solve_means_not_detectable(self, monkeypatch):
+        def fail(*args):
+            raise np.linalg.LinAlgError("no stabilizing solution")
 
-    def test_non_stabilizing_gain_rejected(self):
-        model = LinearGaussianModel([[1.0]], [[1.0]], [[1.0]])
-        with pytest.raises(NotStable):
-            reduce_unstable(model, gain=np.array([[0.5]]))
+        monkeypatch.setattr(lingauss.sla, "solve_continuous_are", fail)
+        with pytest.raises(NotDetectable, match="^dual Riccati construction failed: no stabilizing"):
+            reduce_unstable(LinearGaussianModel([[1.0]], [[1.0]], [[1.0]]))
 
-    def test_wrong_gain_shape_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            reduce_unstable(benchmark(), gain=np.zeros((1, 1)))
+    def test_gain_missing_the_margin_is_refused(self, monkeypatch):
+        monkeypatch.setattr(lingauss.sla, "solve_continuous_are", lambda *args: np.zeros((1, 1)))
+        with pytest.raises(NotDetectable, match="^constructed gain misses the stability margin$"):
+            reduce_unstable(LinearGaussianModel([[1.0]], [[1.0]], [[1.0]]))
 
     def test_verdict_invariant_for_stable_models_any_gain(self):
         """K = 0 versus a forced nonzero stabilizing K: same answer."""
@@ -450,10 +473,10 @@ class TestReduceUnstable:
         for _ in range(10):
             model = random_stable_lg(rng, p_max=3)
             margin = -float(np.max(np.linalg.eigvals(model.A).real)) + 0.5
-            K = detectability_gain(model.A, model.H, margin=margin)
+            K = care_gain(model.A, model.H, 1.0, margin)
             assert np.any(K != 0.0)
             plain = ks_check(model)
-            injected = ks_check(reduce_unstable(model, gain=K))
+            injected = ks_check(LinearGaussianModel(model.A - K @ model.H, model.D, model.H))
             assert plain.maximal_accuracy == injected.maximal_accuracy
 
 

@@ -114,6 +114,29 @@ class TestOneRule:
         assert captured.err.startswith(f"usage error: {flag} must be ")
 
 
+class TestIntegerSettings:
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3"])
+    def test_non_integers_are_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+            SimParams(**{field: value})
+        assert after(field, estimator_message(field, value)).startswith("must be an integer, got ")
+
+    def test_numpy_integers_are_stored_as_int(self):
+        params = SimParams(trials=np.int64(3), seed=np.uint8(7))
+        assert (type(params.trials), type(params.seed)) == (int, int)
+        assert params == SimParams(trials=3, seed=7)
+
+    def test_float_trials_refused_before_a_sweep_runs(self):
+        with pytest.raises(ValueError, match="^trials must be an integer, got 2.5"):
+            kappa_sweep_finite(two_state(), [0, 1], [0.5], SimParams(trials=2.5, horizon=20.0, burn_in=1.0))
+
+    def test_numpy_trials_reach_the_csv_as_an_integer(self):
+        params = SimParams(trials=np.int64(3), horizon=20.0, burn_in=1.0)
+        result = kappa_sweep_finite(two_state(), [0, 1], [0.5], params)
+        assert result.to_csv().splitlines()[1].split(",")[3] == "3"
+
+
 class TestDefaults:
     def test_estimator_defaults_are_the_simparams_defaults(self):
         params = inspect.signature(estimate_stationary_error).parameters
