@@ -429,12 +429,13 @@ def _riccati_residual(A: np.ndarray, Q: np.ndarray, H: np.ndarray, r: float, P: 
 
 def _kleinman(
     A: np.ndarray, Q: np.ndarray, H: np.ndarray, r: float, P: np.ndarray
-) -> np.ndarray | None:
+) -> tuple[np.ndarray, float] | None:
     """Newton (Kleinman) refinement of the stationary Riccati solution.
 
     Each step solves one Lyapunov equation for the current closed loop; the
-    walk stops at a residual below 1e-12 or after 30 steps. Returns None when
-    the starting point is not stabilizing.
+    walk stops at a residual below 1e-12 or after 30 steps. Returns the last
+    iterate with its relative residual at r, or None when the starting point
+    is not stabilizing.
     """
     best = None
     for _ in range(30):
@@ -444,9 +445,8 @@ def _kleinman(
             return best
         P = sla.solve_continuous_lyapunov(Acl, -(Q + r * K @ K.T))
         P = 0.5 * (P + P.T)
-        res = _riccati_residual(A, Q, H, r, P)
-        best = P
-        if res < 1e-12:
+        best = P, _riccati_residual(A, Q, H, r, P)
+        if best[1] < 1e-12:
             break
     return best
 
@@ -472,7 +472,6 @@ def riccati_stationary(
     check_kappa(kappa)
     A, H = model.A, model.H
     Q = model.D @ model.D.T
-    r = kappa * kappa
     ladder = []
     k = max(kappa * 1e3, 1.0)
     while k > kappa * 1.0001:
@@ -493,13 +492,13 @@ def riccati_stationary(
                         f"direct Riccati solve failed at continuation start kappa={start:g}: {exc}"
                     ) from exc
                 P = 0.5 * (P + P.T)
-            for k in rungs:
-                P = _kleinman(A, Q, H, k * k, P)
-                if P is None:
+            for k in rungs:  # every start ends on kappa, so res is the residual at kappa
+                found = _kleinman(A, Q, H, k * k, P)
+                if found is None:
                     raise NoStabilizingSolution(
                         f"Newton continuation lost the stabilizing branch at kappa={k:g}"
                     )
-            res = _riccati_residual(A, Q, H, r, P)
+                P, res = found
             if not res <= RICCATI_RESIDUAL:
                 raise NoStabilizingSolution(
                     f"Riccati residual {res:.2e} exceeds {RICCATI_RESIDUAL:g} at kappa={kappa:g}"

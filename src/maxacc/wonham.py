@@ -19,6 +19,7 @@ import functools
 import math
 import os
 from bisect import bisect_right
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -163,27 +164,44 @@ def _filter_block(
     is about 3 sqrt(steps) array operations instead of steps of them. Pass 1
     costs d^2 per trial-step against d for the plain recursion, so past
     SCAN_MAX_BATCH_D2 the block is one chunk and pass 3 is that recursion.
-    The passes run in a step-major copy of the block, released before
-    returning, so the kernel holds two block-sized arrays: weights and that
-    copy.
+    The passes run in weights itself: the full chunks of each (trial, state)
+    row are reordered in place, step k of every chunk side by side, and put
+    back after pass 3. The last chunk is copied in and out about sqrt(steps)
+    steps at a time, so beside weights the kernel holds one row and buffers
+    the size of a chunk, not a block-sized array.
     """
     batch, steps, d = weights.shape
     # A block whose weights are all 1 carries no information: stepwise, a
     # stationary mu then stays exactly stationary, which mixing chunk rows
     # in pass 2 can miss by an ulp.
-    one_chunk = batch * d * d > SCAN_MAX_BATCH_D2 or np.all(weights == 1.0)
-    length = steps if one_chunk else math.isqrt(steps - 1) + 1
+    one_chunk = batch * d * d > SCAN_MAX_BATCH_D2 or weights.min() == 1.0 == weights.max()
+    tile = math.isqrt(steps - 1) + 1  # about sqrt(steps)
+    length = steps if one_chunk else tile
     chunks = -(-steps // length)
     head = (chunks - 1) * length
-    # Step-major copy w[b, k, :, c] = weights[b, c * length + k], so each pass
-    # reads one contiguous slice per trial and step (strided reads across the
-    # whole block cost several times more). The last chunk is padded with
-    # predict-only steps of weight 1.
-    w = np.empty((batch, length, d, chunks))
-    w[..., :-1] = weights[:, :head].reshape(batch, chunks - 1, length, d).transpose(0, 2, 3, 1)
-    w[:, : steps - head, :, -1] = weights[:, head:]
-    w[:, steps - head :, :, -1] = 1.0
-    wk = w.transpose(1, 2, 0, 3)  # wk[k]: the weights of step k, (d, batch, chunks)
+    rest = steps - head
+    # The head of each row, its chunks - 1 full chunks, as chunk-major (in
+    # step order) and step-major (chunk-interleaved) grids of the same memory;
+    # splitting the step axis is a view in any layout.
+    by_chunk = weights[:, :head].reshape(batch, chunks - 1, length, d, copy=False)
+    by_step = weights[:, :head].reshape(batch, length, chunks - 1, d, copy=False)
+    row = np.empty(head)
+
+    def reorder(source: np.ndarray, target: np.ndarray) -> None:
+        """Transpose each (trial, state) head row from the source grid into the target, through row."""
+        if not head:
+            return
+        grid = row.reshape(source.shape[1:3])
+        for b in range(batch):
+            for i in range(d):
+                grid[:] = source[b, :, :, i]
+                target[b, :, :, i] = grid.T
+
+    # hk[k]: the weights of step k of the full chunks, (d, batch, chunks - 1),
+    # one contiguous slice per trial and state in state-major storage (strided
+    # reads across the whole block cost several times more).
+    reorder(by_chunk, by_step)
+    hk = by_step.transpose(1, 3, 0, 2)
     TT = T_dt.T
     ones = np.ones(d)
     starts = np.empty((d, batch, chunks))
@@ -201,7 +219,7 @@ def _filter_block(
             for k in range(length):
                 prods = TT @ prods
                 step = prods.reshape(shape)
-                step *= wk[k, :, None, :, :-1]
+                step *= hk[k, :, None]
                 s = ones @ prods
                 prods /= s
                 logr += np.log(s)
@@ -217,19 +235,33 @@ def _filter_block(
                 nxt = (prods[:, :, :, c] * lw).sum(axis=1)
                 starts[:, :, c + 1] = nxt / (ones @ nxt)
         # Pass 3: the predict/correct recursion inside every chunk at once,
-        # each step's states overwriting the weights it has just used.
+        # each step's states overwriting the weights it has just used. The
+        # last chunk runs through tail, tile steps at a time (its only tile
+        # when the block is scanned), padded with predict-only steps of
+        # weight 1, so each step reads and writes contiguous slices.
+        tail = np.empty((tile, d, batch))
+        wk = np.empty(starts.shape)
         m = starts.reshape(d, -1)
-        for k in range(length):
-            m = TT @ m
-            step = m.reshape(starts.shape)
-            step *= wk[k]
-            m /= ones @ m
-            wk[k] = step
-    # The path goes back through the views the weights came in by (splitting
-    # the step axis is a view in any layout), so no block-sized temporary.
-    weights[:, :head].reshape(batch, chunks - 1, length, d)[:] = w[..., :-1].transpose(0, 3, 1, 2)
-    weights[:, head:] = w[:, : steps - head, :, -1]
-    del w, wk
+        for t0 in range(0, length, tile):
+            r = min(rest - t0, tile)
+            tail[:r] = weights[:, head + t0 : head + t0 + r].transpose(1, 2, 0)
+            tail[r:] = 1.0
+            for k in range(t0, min(t0 + tile, length)):
+                m = TT @ m
+                step = m.reshape(starts.shape)
+                if chunks == 1:  # the plain recursion
+                    step *= tail[k - t0, :, :, None]
+                    m /= ones @ m
+                    tail[k - t0] = m
+                else:  # every chunk's weights of step k gathered into one array first
+                    wk[..., :-1] = hk[k]
+                    wk[..., -1] = tail[k - t0]
+                    step *= wk
+                    m /= ones @ m
+                    hk[k] = step[..., :-1]
+                    tail[k - t0] = step[..., -1]
+            weights[:, head + t0 : head + t0 + r] = tail[:r].transpose(2, 0, 1)
+    reorder(by_step, by_chunk)
     if not np.all(np.isfinite(weights[:, -1])):
         raise DegenerateWeight("filter mass vanished; refine dt for this kappa")
     return weights
@@ -266,25 +298,30 @@ def _log_weights(
 
 def _filter_increments(
     model: FiniteStateModel, mu: np.ndarray, T_dt: np.ndarray,
-    inc: np.ndarray, kappa: float, dt: float,
+    increments: Iterable[np.ndarray], kappa: float, dt: float,
 ) -> np.ndarray:
-    """Filter a (batch, steps, n) block of increments from states mu to its (batch, steps, d) path.
+    """Filter a batch of trials from states mu to their (batch, steps, d) path.
 
-    The log-weights are shifted, exponentiated and then overwritten by the
-    path in place, so the path comes back as a view of their state-major
-    (d, batch, steps) storage. inc is dropped once the log-weights are built:
-    a caller that passes the block without keeping a name on it frees it
-    before the recursion, which then holds two block-sized arrays.
+    increments yields each trial's (steps, n) observation increments in
+    the order of mu's rows, and is read once. Each trial's log-weights are
+    built, checked for underflow and shifted by their per-step maximum into
+    that trial's rows of the state-major (d, batch, steps) storage, which is
+    then exponentiated and overwritten by the path in place; the path comes
+    back as a view of it. Beside the storage only one trial's increments and
+    log-weights exist at a time, so a block costs one block-sized array.
     """
-    state_part, shared = _log_weights(inc, model.h, kappa, dt)
-    del inc
-    top = functools.reduce(np.maximum, state_part)
-    shared += top  # the full log-likelihood of each step's most likely state
-    if np.any(shared < LOG_TINY):
-        raise DegenerateWeight("all likelihood weights underflowed; dt too large for this kappa")
-    state_part -= top
-    del top, shared
-    weights = np.exp(state_part, out=state_part)
+    weights = None
+    for b, inc in enumerate(increments):
+        state_part, shared = _log_weights(inc, model.h, kappa, dt)
+        if weights is None:
+            weights = np.empty((model.d, len(mu), len(inc)))
+        top = functools.reduce(np.maximum, state_part)
+        shared += top  # the full log-likelihood of each step's most likely state
+        if np.any(shared < LOG_TINY):
+            raise DegenerateWeight("all likelihood weights underflowed; dt too large for this kappa")
+        np.subtract(state_part, top, out=weights[:, b])
+        del inc, state_part, shared, top  # not held while the next trial's are built
+    np.exp(weights, out=weights)
     return _filter_block(mu, T_dt, np.moveaxis(weights, 0, -1))
 
 
@@ -313,8 +350,7 @@ def run_filter(
     path = np.empty((steps + 1, model.d))
     path[0] = mu[0]
     for start in range(0, steps, BLOCK_STEPS):
-        block = inc[None, start : start + BLOCK_STEPS]
-        out = _filter_increments(model, mu, T_dt, block, kappa, dt)
+        out = _filter_increments(model, mu, T_dt, [inc[start : start + BLOCK_STEPS]], kappa, dt)
         path[1 + start : 1 + start + out.shape[1]] = out[0]
         mu = out[:, -1, :].copy()
     return path
@@ -357,8 +393,8 @@ def simulate_bundle(
     if steps == 0:
         raise ValueError(f"horizon {horizon:g} rounds to 0 grid steps of dt {dt:g}")
     trial = _trial_path(model, seed, 0, steps * dt)
-    inc = _observe([trial], model.h, np.arange(steps + 1) * dt, kappa * np.sqrt(dt))
-    return TrajectoryBundle(*trial[0], inc[0], dt, kappa, seed)
+    inc = _observe(trial, model.h, np.arange(steps + 1) * dt, kappa * np.sqrt(dt))
+    return TrajectoryBundle(*trial[0], inc, dt, kappa, seed)
 
 
 def _grid_steps(horizon: float, dt: float) -> int:
@@ -390,22 +426,21 @@ def _trial_path(
 
 
 def _observe(
-    trials: list[tuple[tuple[np.ndarray, np.ndarray], np.random.Generator]], h: np.ndarray,
+    trial: tuple[tuple[np.ndarray, np.ndarray], np.random.Generator], h: np.ndarray,
     times: np.ndarray, noise_scale: float,
 ) -> np.ndarray:
-    """The (trials, cells, n) observation increments of each trial over the cells of the grid `times`.
+    """The (cells, n) observation increments of one trial over the cells of the grid `times`.
 
     Each increment is the exact integral of h over its cell (from the jump
     times, not endpoint samples) plus noise_scale times a standard normal.
-    A trial's draws are those of rng.standard_normal((cells, n)) from its
+    The draws are those of rng.standard_normal((cells, n)) from the trial's
     noise generator, so a grid filled block by block gets the increments it
     gets filled at once.
     """
-    inc = np.empty((len(trials), len(times) - 1, h.shape[1]))
-    for row, (path, rng) in zip(inc, trials):
-        rng.standard_normal(out=row)
-        row *= noise_scale
-        row += np.diff(integrated_observation(*path, h, times), axis=0)
+    path, rng = trial
+    inc = rng.standard_normal((len(times) - 1, h.shape[1]))
+    inc *= noise_scale
+    inc += np.diff(integrated_observation(*path, h, times), axis=0)
     return inc
 
 
@@ -419,7 +454,13 @@ def _chunk_trial_means(
     seed: int,
     trial_indices: np.ndarray,
 ) -> np.ndarray:
-    """Per-trial time-averaged squared error for one chunk of trials."""
+    """Per-trial time-averaged squared error for one chunk of trials.
+
+    Each block is observed and filtered trial by trial into one block of
+    storage (_filter_increments), and its error is reduced trial by trial
+    from that trial's contiguous state-major rows, so no other block-sized
+    array is formed.
+    """
     batch = len(trial_indices)
     trials = [_trial_path(model, seed, int(t), steps * dt) for t in trial_indices]
 
@@ -430,24 +471,21 @@ def _chunk_trial_means(
     for start in range(0, steps, BLOCK_STEPS):
         blk = min(BLOCK_STEPS, steps - start)
         times = (start + np.arange(blk + 1)) * dt
-        # The increments are handed straight over, with no name here, so
-        # _filter_increments frees them before the recursion.
-        path = _filter_increments(model, mu, T_dt, _observe(trials, model.h, times, noise_scale), kappa, dt)
+        observed = (_observe(trial, model.h, times, noise_scale) for trial in trials)
+        path = _filter_increments(model, mu, T_dt, observed, kappa, dt)
         mu = path[:, -1, :].copy()
         first = max(burn_steps - start, 0)  # est is empty while the block is all burn-in
-        # est = f_0 p_0 + f_1 p_1 + ... in state order, read in place from the path's
-        # state-major planes, so no choice of BLAS kernel reaches its bits.
-        planes = np.moveaxis(path, -1, 0)[:, :, first:]
-        est = planes[0] * fvals[0]
-        for k in range(1, model.d):
-            est += planes[k] * fvals[k]
-        del path, planes  # neither path nor est is held through the next block's recursion
-        # (est - f(X))^2 in place, one trial's f(X) at a time: f(X) is a path
-        # with X's jumps, and est - f(X) is -(f(X) - est) exactly.
+        planes = np.moveaxis(path, -1, 0)  # the state-major storage, (d, batch, steps)
         for b, ((jt, st), _) in enumerate(trials):
-            est[b] -= state_at(jt, fvals[st], times[1 + first:])
-        err_sum += np.sum(np.square(est, out=est), axis=1)
-        del est
+            # est = f_0 p_0 + f_1 p_1 + ... in state order, so no choice of BLAS
+            # kernel reaches its bits; then (est - f(X))^2 in place, f(X) being
+            # a path with X's jumps, and est - f(X) is -(f(X) - est) exactly.
+            est = planes[0, b, first:] * fvals[0]
+            for k in range(1, model.d):
+                est += planes[k, b, first:] * fvals[k]
+            est -= state_at(jt, fvals[st], times[1 + first:])
+            err_sum[b] += np.sum(np.square(est, out=est))
+        del path, planes, est  # nothing of this block is held through the next one
     return err_sum / (steps - burn_steps)
 
 

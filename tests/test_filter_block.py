@@ -81,19 +81,26 @@ def test_scan_and_single_chunk_paths_are_both_taken():
     assert 64 * 3 * 3 <= wonham.SCAN_MAX_BATCH_D2 < 64 * 6 * 6
 
 
-@pytest.mark.parametrize("layout", ["trial_major", "state_major"])
-@pytest.mark.parametrize("batch, steps, d", [(3, 57, 2), (64, 65, 6)])
+def in_layout(factors: np.ndarray, layout: str) -> np.ndarray:
+    """A (batch, steps, d) copy of factors, stored trial-major, state-major
+    (d, batch, steps: the storage the estimator filters in) or time-major (steps, d, batch)."""
+    axes = {"trial_major": (0, 1, 2), "state_major": (2, 0, 1), "time_major": (1, 2, 0)}[layout]
+    return factors.transpose(axes).copy().transpose(np.argsort(axes))
+
+
+@pytest.mark.parametrize("layout", ["trial_major", "state_major", "time_major"])
+@pytest.mark.parametrize("batch, steps, d", [(3, 57, 2), (64, 65, 6), (3, 64, 2), (3, 2, 3)])
 def test_path_overwrites_the_weights(layout, batch, steps, d):
     """The path is written into the weights array, in its own layout, and that
-    array is returned; a scanned block (3 x 57 x 2) and a one-chunk one (64 x 65 x 6)."""
+    array is returned; a scanned block with a ragged last chunk (3 x 57 x 2) and
+    with a full one (3 x 64 x 2, an 8 x 8 grid), and one-chunk blocks by size
+    (64 x 65 x 6) and by length (3 x 2 x 3)."""
     rng = np.random.default_rng([batch, steps, d])
     T = random_chain(d, rng)
     factors = shifted_weights(rng.normal(0.0, 2.0, (batch, steps, d)))
     mu = rng.dirichlet(np.ones(d), size=batch)
-    if layout == "trial_major":
-        weights = factors.copy()
-    else:  # the (d, batch, steps) storage the estimator filters in
-        weights = np.moveaxis(np.ascontiguousarray(np.moveaxis(factors, -1, 0)), 0, -1)
+    weights = in_layout(factors, layout)
+    assert np.array_equal(weights, factors)
     out = wonham._filter_block(mu, T, weights)
     assert out is weights
     assert np.shares_memory(out, weights)
@@ -155,6 +162,11 @@ def test_fails_exactly_where_the_loop_fails(kind, position):
         mu = rng.dirichlet(np.ones(2), size=batch)
         weights = shifted_weights(rng.normal(0.0, 1.0, (batch, steps, 2)))
         weights[1, position] = 0.0 if kind == "zero" else np.nan
+    # In the estimator's state-major storage the failing step sits inside a
+    # reordered row head (steps 0 to 379, 19 chunks of 20) or in the last chunk.
+    state_major = in_layout(weights, "state_major")
     assert outcome(reference_filter, mu, T, weights) is None
     with pytest.raises(DegenerateWeight, match="mass vanished"):
         wonham._filter_block(mu, T, weights)
+    with pytest.raises(DegenerateWeight, match="mass vanished"):
+        wonham._filter_block(mu, T, state_major)

@@ -284,22 +284,42 @@ class TestEstimator:
         assert serial == parallel
 
     @pytest.mark.parametrize("horizon", [25.0, 80.0])
-    def test_working_set_stays_under_two_and_a_half_blocks(self, monkeypatch, horizon):
-        """One kappa 0.05 estimate peaks at 2.09 arrays of batch x BLOCK_STEPS x d, both
-        as a two-block row (horizon 25: 16384 + 3616 steps) and a four-block one (horizon
-        80): the weights the path overwrites and the kernel's step-major copy, with no
-        block-sized array outliving its block."""
+    @pytest.mark.parametrize("name", ["two_state", "quad"])
+    def test_working_set_stays_under_one_and_a_quarter_blocks(self, monkeypatch, name, horizon):
+        """One kappa 0.05 estimate peaks at 1.12 arrays of batch x BLOCK_STEPS x d, both as
+        a two-block row (horizon 25: 16384 + 3616 steps) and a four-block one (horizon 80),
+        on the two-state chain and on QUAD (d = 4, n = 2, the feed's matmul branch): the
+        weights the path overwrites, with one trial's feed and the kernel's chunk-sized
+        buffers beside them and no block-sized array outliving its block."""
         monkeypatch.setenv("MAXACC_THREADS", "1")
-        model, f = two_state(), np.array([0.0, 1.0])
-        estimate_stationary_error(model, f, 0.05, trials=32, horizon=horizon)  # warm-up
+        model, f = {"two_state": (two_state(), [0.0, 1.0]), "quad": (QUAD, [1.0, 0.0, -1.0, 2.0])}[name]
+        estimate_stationary_error(model, np.array(f), 0.05, trials=32, horizon=horizon)  # warm-up
         tracemalloc.start()
         try:
-            estimate_stationary_error(model, f, 0.05, trials=32, horizon=horizon)
+            estimate_stationary_error(model, np.array(f), 0.05, trials=32, horizon=horizon)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         block = 32 * wonham.BLOCK_STEPS * model.d * 8
-        assert peak <= 2.5 * block
+        assert peak <= 1.25 * block
+
+    @pytest.mark.parametrize("scanned", [True, False])
+    def test_kernel_allocates_under_a_quarter_block(self, scanned):
+        """_filter_block on a 32 x 16384 x 2 state-major block works in place: scanned, it
+        allocates 0.09 of the block (one row, the chunk buffers); as one chunk (all weights
+        1), a tile of the last chunk at a time. Neither copies the block."""
+        T = wonham._transition(two_state(), 0.00125)
+        storage = np.ones((2, 32, wonham.BLOCK_STEPS))
+        if scanned:
+            storage = np.exp(-np.random.default_rng(1).random(storage.shape))
+        mu = np.full((32, 2), 0.5)
+        tracemalloc.start()
+        try:
+            wonham._filter_block(mu, T, np.moveaxis(storage, 0, -1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * storage.nbytes
 
     def test_estimate_sums_the_states_in_order(self, monkeypatch):
         """The filtered f is f_0 p_0 + f_1 p_1 + f_2 p_2 in that order, bit for bit, so no
