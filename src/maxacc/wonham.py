@@ -182,9 +182,9 @@ def _filter_block(
     rest = steps - head
     # The head of each row, its chunks - 1 full chunks, as chunk-major (in
     # step order) and step-major (chunk-interleaved) grids of the same memory;
-    # splitting the step axis is a view in any layout.
-    by_chunk = weights[:, :head].reshape(batch, chunks - 1, length, d, copy=False)
-    by_step = weights[:, :head].reshape(batch, length, chunks - 1, d, copy=False)
+    # splitting one axis is a view whatever the strides, so reshape never copies.
+    by_chunk = weights[:, :head].reshape(batch, chunks - 1, length, d)
+    by_step = weights[:, :head].reshape(batch, length, chunks - 1, d)
     row = np.empty(head)
 
     def reorder(source: np.ndarray, target: np.ndarray) -> None:
@@ -249,7 +249,8 @@ def _filter_block(
             for k in range(t0, min(t0 + tile, length)):
                 m = TT @ m
                 step = m.reshape(starts.shape)
-                if chunks == 1:  # the plain recursion
+                if chunks == 1:  # the plain recursion; the gather below gives
+                    # the same bits but costs about 15% on one-chunk blocks
                     step *= tail[k - t0, :, :, None]
                     m /= ones @ m
                     tail[k - t0] = m
@@ -278,9 +279,12 @@ def _log_weights(
     is still needed to detect underflow of every weight, so the shared term is
     returned separately.
 
-    The state part is state-major, (d, batch, steps), built one state at a
-    time: numpy is several times slower on any elementwise pass whose inner
-    axis is the short state axis, a broadcast product over it included.
+    inc is one trial's (steps, n) increments, as the feed passes them; the
+    state part comes back state-major, (d, steps), and shared as (steps,).
+    A leading batch axis, (batch, steps, n), gives (d, batch, steps) and
+    (batch, steps). The state part is built one state at a time: numpy is
+    several times slower on any elementwise pass whose inner axis is the
+    short state axis, a broadcast product over it included.
     """
     kk = kappa * kappa
     offset = (dt * np.sum(h * h, axis=1)) / (2.0 * kk)
