@@ -58,7 +58,7 @@ CERT_REJECT = 1e-5          # sigma_min / scale above this rejects a candidate
 SHIFT_TOL = 1e-10           # relative distance to an eigenvalue that blocks evaluation
 RICCATI_RESIDUAL = 1e-8     # relative residual bound on the stationary equation
 PSD_TOL = 1e-10
-COMPRESSION_SEED = 0x5EED   # seeds the random row compressions of tall systems
+COMPRESSION_SEED = 0x5EED   # seeds the row compression of a tall system's zero search
 GAIN_MARGIN = 1e-6          # reduce_unstable puts every eigenvalue of A - KH left of -GAIN_MARGIN
 
 
@@ -253,27 +253,21 @@ def _pencil_candidates(A: np.ndarray, D: np.ndarray, H: np.ndarray) -> np.ndarra
     return w[np.isfinite(w)]
 
 
-def _cluster(pools: list[np.ndarray], tol: float) -> list[tuple[complex, int]]:
-    """Group nearby candidates of all pools into (center, multiplicity) pairs.
+def _cluster(candidates: np.ndarray, tol: float) -> list[tuple[complex, int]]:
+    """Group nearby pencil candidates into (center, multiplicity) pairs.
 
-    Each pool holds one pencil's candidates, so a group's multiplicity is the
-    most candidates any one pool puts in it: a zero that both row compressions
-    of a tall system find is counted once, not once per compression.
+    A group's multiplicity is its size: the number of pencil eigenvalues
+    within tol (relative) of its first, smallest member.
     """
-    clusters: list[list[tuple[complex, int]]] = []
-    tagged = [(lam, k) for k, pool in enumerate(pools) for lam in pool]
-    for lam, k in sorted(tagged, key=lambda t: (t[0].real, t[0].imag)):
+    clusters: list[list[complex]] = []
+    for lam in sorted(candidates, key=lambda c: (c.real, c.imag)):
         for group in clusters:
-            if abs(lam - group[0][0]) <= tol * max(1.0, abs(group[0][0])):
-                group.append((lam, k))
+            if abs(lam - group[0]) <= tol * max(1.0, abs(group[0])):
+                group.append(lam)
                 break
         else:
-            clusters.append([(lam, k)])
-    result = []
-    for group in clusters:
-        values, owners = zip(*group)
-        result.append((complex(np.mean(values)), max(map(owners.count, owners))))
-    return result
+            clusters.append([lam])
+    return [(complex(np.mean(group)), len(group)) for group in clusters]
 
 
 def transmission_zeros(model: LinearGaussianModel) -> ZeroReport:
@@ -286,10 +280,10 @@ def transmission_zeros(model: LinearGaussianModel) -> ZeroReport:
       columns; the report carries the structural verdict and no zero search.
     * square (m == n): finite generalized eigenvalues of the system pencil,
       each certified by the smallest singular value of G there.
-    * tall (m < n): candidates from two independently drawn random row
-      compressions M H (m x p each, drawn from COMPRESSION_SEED); every
-      candidate is certified or rejected directly on the full system, which
-      guards against an unlucky draw.
+    * tall (m < n): candidates from one random row compression M H (M is
+      m x n, drawn from COMPRESSION_SEED). G(z) u = 0 implies M G(z) u = 0,
+      so every zero of G is a candidate whatever the draw; certification on
+      the full G rejects the extra zeros of M G.
 
     Certification is relative to the transfer scale on a reference circle
     outside the spectral disc of A: sigma_min below CERT_ACCEPT * scale
@@ -315,20 +309,15 @@ def transmission_zeros(model: LinearGaussianModel) -> ZeroReport:
             notes=[structural],
         )
 
-    if model.m == model.n:
-        pools = [_pencil_candidates(model.A, model.D, model.H)]
-        notes = []
-    else:
-        rng = np.random.default_rng(COMPRESSION_SEED)
-        pools = []
-        for _ in range(2):
-            M = rng.standard_normal((model.m, model.n))
-            pools.append(_pencil_candidates(model.A, model.D, M @ model.H))
-        notes = ["tall system: candidates from two random row compressions"]
+    H = model.H
+    notes = []
+    if model.m < model.n:
+        H = np.random.default_rng(COMPRESSION_SEED).standard_normal((model.m, model.n)) @ H
+        notes.append("tall system: candidates from a random row compression")
 
     eig_scale = max(1.0, rho)
     zeros: list[Zero] = []
-    for center, mult in _cluster(pools, 1e-7):
+    for center, mult in _cluster(_pencil_candidates(model.A, model.D, H), 1e-7):
         if np.min(np.abs(eigs - center)) <= 1e-8 * eig_scale:
             raise IllConditionedPencil(
                 f"candidate zero {center} coincides with an eigenvalue of A; "

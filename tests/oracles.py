@@ -131,6 +131,35 @@ def care_gain(A: np.ndarray, H: np.ndarray, weight: float, margin: float) -> np.
     return X @ H.T
 
 
+def ks_limit_trace(A: np.ndarray, D: np.ndarray, H: np.ndarray, zeros) -> float:
+    """Reference trace of the limit filter error P0 = lim P(kappa) as kappa -> 0.
+
+    Kwakernaak & Sivan (1972): only the right-half-plane zeros z_i of
+    H (lam I - A)^{-1} D keep the error from vanishing. Each gives a zero
+    direction (x_i, u_i), the null vector of [[z_i I - A, -D], [H, 0]]
+    (taken by SVD), and P0 = X M^{-1} X* with M_ij = conj(u_i) u_j /
+    (conj(z_i) + z_j). The form is invariant under rescaling each direction.
+    Single input only: nothing has checked it against the Riccati solution
+    for m >= 2.
+    """
+    p, m = D.shape
+    if m != 1:
+        raise ValueError(f"ks_limit_trace is checked for single-input models only, got m = {m}")
+    right = [complex(z) for z in zeros if complex(z).real > 0]
+    if not right:
+        return 0.0
+    n = H.shape[0]
+    X, u = [], []
+    for z in right:
+        pencil = np.block([[z * np.eye(p) - A, -D], [H, np.zeros((n, m))]])
+        null = np.linalg.svd(pencil)[2][-1].conj()
+        X.append(null[:p])
+        u.append(null[p])
+    X, u, z = np.column_stack(X), np.array(u), np.array(right)
+    M = np.outer(u.conj(), u) / (z.conj()[:, None] + z[None, :])
+    return float(np.trace(X @ np.linalg.solve(M, X.conj().T)).real)
+
+
 # The sim fields that the model-file schema lets be null.
 NULLABLE_SIM_FIELDS = ("horizon", "dt", "burn_in")
 
