@@ -14,6 +14,8 @@ invertible and reconstructible. Both properties reduce to finite checks:
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .markov import FiniteStateModel, reduce_support, time_reverse
@@ -21,10 +23,6 @@ from .verdicts import InvertibilityReport, ReconstructibilityReport, Verdict
 
 OBS_TIE_TOL = 1e-12     # h(i) == h(j) means max-norm difference below this
 RANK_TOL = 1e-9         # relative singular-value cutoff for span dimensions
-
-
-def _obs_equal(h: np.ndarray, i: int, j: int) -> bool:
-    return float(np.max(np.abs(h[i] - h[j]))) <= OBS_TIE_TOL
 
 
 def check_invertibility(model: FiniteStateModel) -> InvertibilityReport:
@@ -40,25 +38,15 @@ def check_invertibility(model: FiniteStateModel) -> InvertibilityReport:
     surfaced as suspicious in the notes.
     """
     L, h, d = model.Lambda, model.h, model.d
+    gap = np.abs(h[:, None] - h[None]).max(axis=2)  # max-norm distance of every pair of rows
+    tie = gap <= OBS_TIE_TOL
     violations: list[tuple] = []
-    notes: list[str] = []
     for i in range(d):
         targets = [j for j in range(d) if j != i and L[i, j] > 0]
-        for j in targets:
-            if _obs_equal(h, i, j):
-                violations.append(("pair", i, j))
-        for a in range(len(targets)):
-            for b in range(a + 1, len(targets)):
-                j, k = targets[a], targets[b]
-                if _obs_equal(h, j, k):
-                    violations.append(("triple", i, j, k))
-    for i in range(d):
-        for j in range(i + 1, d):
-            gap = float(np.max(np.abs(h[i] - h[j])))
-            if OBS_TIE_TOL < gap <= 1e-6:
-                notes.append(
-                    f"h({i}) and h({j}) differ by {gap:.3e}; treated as distinct"
-                )
+        violations += [("pair", i, j) for j in targets if tie[i, j]]
+        violations += [("triple", i, j, k) for j, k in combinations(targets, 2) if tie[j, k]]
+    notes = [f"h({i}) and h({j}) differ by {gap[i, j]:.3e}; treated as distinct"
+             for i in range(d) for j in range(i + 1, d) if OBS_TIE_TOL < gap[i, j] <= 1e-6]
     return InvertibilityReport(ok=not violations, violations=violations, notes=notes)
 
 
@@ -74,25 +62,20 @@ def check_reconstructibility(model: FiniteStateModel) -> ReconstructibilityRepor
     """
     d = model.d
     ops = [time_reverse(model)] + [np.diag(model.h[:, col]) for col in range(model.n)]
-    scale = max(float(np.max(np.abs(op))) for op in ops)
-    scale = max(scale, 1.0)
+    tol = RANK_TOL * max(1.0, *(float(np.max(np.abs(op))) for op in ops))
     basis = np.ones((d, 1)) / np.sqrt(d)
-    grew = True
-    while grew and basis.shape[1] < d:
-        grew = False
+    size = 0
+    while size < basis.shape[1] < d:  # a round that adds nothing ends the closure
+        size = basis.shape[1]
         for op in ops:
-            cand = op @ basis
-            for v in cand.T:
-                # Two projection passes keep the basis orthonormal to round-off.
-                r = v - basis @ (basis.T @ v)
-                r = r - basis @ (basis.T @ r)
-                if np.linalg.norm(r) > RANK_TOL * scale:
-                    basis = np.hstack([basis, (r / np.linalg.norm(r))[:, None]])
-                    grew = True
-                    if basis.shape[1] == d:
-                        break
-            if basis.shape[1] == d:
-                break
+            for v in (op @ basis).T:
+                if basis.shape[1] < d:
+                    # Two projection passes keep the basis orthonormal to round-off.
+                    r = v - basis @ (basis.T @ v)
+                    r = r - basis @ (basis.T @ r)
+                    norm = np.linalg.norm(r)
+                    if norm > tol:
+                        basis = np.hstack([basis, (r / norm)[:, None]])
     dim = basis.shape[1]
     notes = []
     if model.n > 1:

@@ -28,6 +28,7 @@ from .deferred import DeferredModule
 from .errors import (
     DimensionMismatch,
     IllConditionedPencil,
+    InvalidInput,
     NoStabilizingSolution,
     NotDetectable,
     NotDetectableOrStabilizable,
@@ -77,11 +78,12 @@ def _rank(M: np.ndarray) -> int:
 class LinearGaussianModel:
     """Linear SDE system matrices A (p x p), D (p x m), H (n x p).
 
-    Construction enforces shape consistency, m <= p and n <= p, full rank of
-    D (independent columns) and H (independent rows), and the standing
-    assumptions of validate_model: A is stable, or (A, D) is stabilizable and
-    (A, H) is detectable. A model that exists therefore meets them, and
-    carries the eigenvalues of A (eigs) and whether A is stable (stable).
+    Construction enforces shape consistency, m <= p and n <= p, finite
+    entries, full rank of D (independent columns) and H (independent rows),
+    and the standing assumptions of validate_model: A is stable, or (A, D)
+    is stabilizable and (A, H) is detectable. A model that exists therefore
+    meets them, and carries the eigenvalues of A (eigs) and whether A is
+    stable (stable).
     """
 
     A: np.ndarray
@@ -105,6 +107,9 @@ class LinearGaussianModel:
             raise DimensionMismatch(
                 f"need m <= p and n <= p, got p={p}, m={self.m}, n={self.n}"
             )
+        for name, M in (("A", self.A), ("D", self.D), ("H", self.H)):
+            if not np.all(np.isfinite(M)):
+                raise InvalidInput(f"{name} has non-finite entries")
         for name, M, full in (("D", self.D, self.m), ("H", self.H, self.n)):
             if _rank(M) < full:
                 raise RankDeficientDorH(f"{name} must have full rank {full}")

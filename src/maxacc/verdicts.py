@@ -64,6 +64,16 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
+def check_integer(name: str, value) -> int:
+    """The rule for trial counts, seeds and state indices: an integer, returned as int.
+
+    A numpy integer is accepted; a bool is refused, though Python counts it as one.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_kappa(kappa: float) -> float:
     """The one noise-strength rule: kappa is positive and finite."""
     return check_positive("kappa", kappa)
@@ -82,6 +92,7 @@ def check_kappas(kappas) -> list[float]:
 
 def indicator(i: int, d: int) -> np.ndarray:
     """The indicator of state i among d states."""
+    i = check_integer("indicator index", i)
     if not 0 <= i < d:
         raise ValueError(f"indicator index {i} outside 0..{d - 1}")
     v = np.zeros(d)

@@ -28,8 +28,8 @@ import numpy as np
 from .errors import DegenerateWeight
 from .finite_analysis import finite_verdict
 from .markov import FiniteStateModel, integrated_observation, sample_path, state_at
-from .verdicts import (SweepResult, SweepRow, check_kappa, check_kappas, check_positive, check_test_function,
-                       row_failure)
+from .verdicts import (SweepResult, SweepRow, check_integer, check_kappa, check_kappas, check_positive,
+                       check_test_function, row_failure)
 
 BLOCK_STEPS = 16384         # grid steps precomputed per vectorized block
 CHUNK_TRIALS = 64           # trials per work item; fixed so results never depend on pool size
@@ -61,10 +61,7 @@ class SimParams:
 
     def __post_init__(self) -> None:
         for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         check_positive("horizon", self.horizon)
@@ -338,12 +335,18 @@ def run_filter(
     """Run the discretized optimal filter along one observation record.
 
     Returns the (steps + 1, d) path of filter states starting from the
-    stationary law. Raises DegenerateWeight when the filter degenerates,
-    which signals that dt is too large for this kappa.
+    stationary law. The increments are a finite (steps,) or (steps, n)
+    array, refused with ValueError before any filtering otherwise. Raises
+    DegenerateWeight when the filter degenerates, which signals that dt is
+    too large for this kappa.
     """
     check_kappa(kappa)
     check_positive("dt", dt)
     inc = np.asarray(obs_increments, dtype=float)
+    if inc.ndim not in (1, 2):
+        raise ValueError(f"observation increments must be a 1-d or 2-d array, got {inc.ndim} dimensions")
+    if not np.all(np.isfinite(inc)):
+        raise ValueError("observation increments have non-finite entries")
     if inc.ndim == 1:
         inc = inc[:, None]
     if inc.shape[1] != model.n:
@@ -387,12 +390,16 @@ def simulate_bundle(
     The bundle is trial 0 of estimate_stationary_error(seed=seed), drawn by
     the estimator's own trial sampler over the whole grid of
     round(horizon / dt) cells: run_filter on its increments filters the
-    record that trial filters at the same dt and horizon. A grid with no
-    cells, or more than STEP_BUDGET, is refused before any sampling.
+    record that trial filters at the same dt and horizon, so the seed obeys
+    the SimParams rule (a nonnegative integer). A grid with no cells, or more
+    than STEP_BUDGET, is refused before any sampling.
     """
     check_positive("horizon", horizon)
     check_positive("dt", dt)
     check_kappa(kappa)
+    seed = check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     steps = _grid_steps(horizon, dt)
     if steps == 0:
         raise ValueError(f"horizon {horizon:g} rounds to 0 grid steps of dt {dt:g}")

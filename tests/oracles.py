@@ -96,6 +96,42 @@ def choice_sample_path(
     return np.asarray(times), np.asarray(states, dtype=np.intp)
 
 
+def invertibility_by_pairs(Lambda: np.ndarray, h: np.ndarray, tol: float) -> tuple[list[tuple], list[str]]:
+    """Reference invertibility report: violations and near-tie notes, pair by pair.
+
+    Two states tie when their observation rows differ by at most tol in the
+    max norm. Violations come per source state i: first ("pair", i, j) for
+    each tied target j, then ("triple", i, j, k) for each tied pair of
+    targets j < k. A pair that differs by more than tol but at most 1e-6 is
+    noted as a near-tie, in row-major order.
+    """
+    L = np.asarray(Lambda, dtype=float)
+    d = L.shape[0]
+    rows = np.asarray(h, dtype=float).reshape(d, -1)
+
+    def distance(i: int, j: int) -> float:
+        return float(np.max(np.abs(rows[i] - rows[j])))
+
+    violations: list[tuple] = []
+    for i in range(d):
+        targets = [j for j in range(d) if j != i and L[i, j] > 0]
+        for j in targets:
+            if distance(i, j) <= tol:
+                violations.append(("pair", i, j))
+        for a in range(len(targets)):
+            for b in range(a + 1, len(targets)):
+                j, k = targets[a], targets[b]
+                if distance(j, k) <= tol:
+                    violations.append(("triple", i, j, k))
+    notes = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            gap = distance(i, j)
+            if tol < gap <= 1e-6:
+                notes.append(f"h({i}) and h({j}) differ by {gap:.3e}; treated as distinct")
+    return violations, notes
+
+
 def _full_rank(M: np.ndarray, rank: int) -> bool:
     s = np.linalg.svd(M, compute_uv=False)
     return bool(s[0] > 0 and np.sum(s > RANK_TOL * s[0]) >= rank)

@@ -14,7 +14,8 @@ from maxacc import (
     check_reconstructibility,
     finite_verdict,
 )
-from oracles import WordBudgetExceeded, brute_force_reconstructibility
+from maxacc.finite_analysis import OBS_TIE_TOL
+from oracles import WordBudgetExceeded, brute_force_reconstructibility, invertibility_by_pairs
 
 SYM2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
 CYCLE3 = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
@@ -136,6 +137,33 @@ def test_invertibility_affine_invariant(seed, a, b, flip):
     scale = -a if flip else a
     rescaled = FiniteStateModel(model.Lambda, scale * model.h + b)
     assert check_invertibility(model).ok == check_invertibility(rescaled).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.integers(1, 2),
+    st.sampled_from([0.0, 1e-13, 1e-9, 1e-7, 2e-6]),
+    st.integers(0, 3),
+)
+def test_invertibility_report_matches_the_pairwise_oracle(seed, n_obs, nudge, near_pairs):
+    """Violations in order and notes word for word, on ties and on near-ties at each nudge.
+
+    Each near pair copies one observation row onto another and moves every
+    coordinate by up to the nudge, so several pairs can tie or land in the note band.
+    """
+    rng = np.random.default_rng(seed)
+    model = random_finite_model(rng, d_max=8, tie_prob=0.4, n_obs=n_obs)
+    h = model.h.copy()
+    for _ in range(near_pairs):
+        i, j = rng.choice(model.d, size=2, replace=False)
+        h[j] = h[i] + nudge * rng.uniform(-1.0, 1.0, n_obs)
+    model = FiniteStateModel(model.Lambda, h)
+    report = check_invertibility(model)
+    violations, notes = invertibility_by_pairs(model.Lambda, model.h, OBS_TIE_TOL)
+    assert report.violations == violations
+    assert report.notes == notes
+    assert report.ok == (not violations)
 
 
 def test_duplicate_observation_column_changes_nothing():

@@ -24,6 +24,7 @@ from maxacc import (
 from maxacc import lingauss
 from maxacc.errors import (
     DimensionMismatch,
+    InvalidInput,
     NoStabilizingSolution,
     NotDetectable,
     NotDetectableOrStabilizable,
@@ -139,6 +140,15 @@ class TestModelValidation:
                 np.array([[1.0, 2.0], [2.0, 4.0]]),
                 np.array([[1.0, 0.0]]),
             )
+
+    @pytest.mark.parametrize("name, bad", [("A", np.nan), ("D", np.inf), ("H", -np.inf)])
+    def test_non_finite_matrix_is_an_input_error(self, name, bad):
+        """Named as bad input (exit 1), not a LinAlgError or a rank failure."""
+        mats = {"A": np.diag([-1.0, -2.0]), "D": np.array([[1.0], [1.0]]), "H": np.array([[1.0, -2.0]])}
+        mats[name][0, 0] = bad
+        with pytest.raises(InvalidInput, match=rf"^{name} has non-finite entries$") as info:
+            LinearGaussianModel(**mats)
+        assert type(info.value) is InvalidInput
 
     def test_shape_mismatches_rejected(self):
         with pytest.raises(DimensionMismatch):

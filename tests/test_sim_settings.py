@@ -127,6 +127,19 @@ class TestIntegerSettings:
         assert (type(params.trials), type(params.seed)) == (int, int)
         assert params == SimParams(trials=3, seed=7)
 
+    @pytest.mark.parametrize("seed", [2.5, 3.0, True, np.bool_(True), "3", -1])
+    def test_bundle_refuses_the_seeds_the_estimator_refuses(self, seed):
+        """simulate_bundle(seed=s) is trial 0 of estimate_stationary_error(seed=s): one seed rule."""
+        with pytest.raises(ValueError) as info:
+            wonham.simulate_bundle(two_state(), 10.0, 0.5, 0.1, seed=seed)
+        assert str(info.value) == estimator_message("seed", seed)
+
+    def test_bundle_takes_a_numpy_seed(self):
+        bundle = wonham.simulate_bundle(two_state(), 10.0, 0.5, 0.1, seed=np.uint8(7))
+        plain = wonham.simulate_bundle(two_state(), 10.0, 0.5, 0.1, seed=7)
+        assert type(bundle.seed) is int
+        assert np.array_equal(bundle.obs_increments, plain.obs_increments)
+
     def test_float_trials_refused_before_a_sweep_runs(self):
         with pytest.raises(ValueError, match="^trials must be an integer, got 2.5"):
             kappa_sweep_finite(two_state(), [0, 1], [0.5], SimParams(trials=2.5, horizon=20.0, burn_in=1.0))

@@ -141,12 +141,23 @@ class TestRunFilter:
         with pytest.raises(DegenerateWeight):
             run_filter(model, inc, kappa=0.01, dt=0.1)
 
-    def test_non_finite_increment_raises(self):
-        model = two_state()
-        inc = np.zeros((5, 1))
-        inc[3] = np.nan
-        with pytest.raises(DegenerateWeight):
-            run_filter(model, inc, kappa=0.3, dt=0.1)
+    def test_non_finite_increment_raises(self, monkeypatch):
+        """A NaN or inf is a bad input, refused before filtering, not a step too large for kappa."""
+        def no_filter(*args, **kwargs):
+            raise AssertionError("filtered a non-finite record")
+
+        monkeypatch.setattr(wonham, "_filter_increments", no_filter)
+        for bad in (np.nan, np.inf, -np.inf):
+            inc = np.zeros((5, 1))
+            inc[3] = bad
+            with pytest.raises(ValueError, match="^observation increments have non-finite entries$"):
+                run_filter(two_state(), inc, kappa=0.3, dt=0.1)
+
+    @pytest.mark.parametrize("shape", [(), (5, 1, 1)])
+    def test_increments_must_be_one_or_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match=rf"^observation increments must be a 1-d or 2-d array, "
+                                             rf"got {len(shape)} dimensions$"):
+            run_filter(two_state(), np.zeros(shape), kappa=0.3, dt=0.1)
 
     def test_vanishing_mass_raises(self):
         """pi = (0, 1) and an increment that rules out state 1: the mass is 0,
@@ -395,6 +406,15 @@ class TestEstimator:
     def test_indicator_index_out_of_range(self, i):
         with pytest.raises(ValueError, match=rf"^indicator index {i} outside 0..1$"):
             indicator(i, 2)
+
+    @pytest.mark.parametrize("i", [True, np.bool_(False), 1.0, "1"])
+    def test_indicator_index_must_be_an_integer(self, i):
+        """A bool would select every entry and a float would raise numpy's IndexError."""
+        with pytest.raises(ValueError, match=r"^indicator index must be an integer, got "):
+            indicator(i, 2)
+
+    def test_indicator_takes_a_numpy_integer(self):
+        assert indicator(np.int64(1), 2).tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("Lambda", [
         [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]],   # state 2 transient
