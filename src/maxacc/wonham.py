@@ -34,6 +34,7 @@ from .verdicts import (SweepResult, SweepRow, check_integer, check_kappa, check_
 BLOCK_STEPS = 16384         # grid steps precomputed per vectorized block
 CHUNK_TRIALS = 64           # trials per work item; fixed so results never depend on pool size
 SCAN_MAX_BATCH_D2 = 2000    # blocks with batch * d^2 above this filter as one chunk
+SLAB_MIN_STEPS = 4          # steps per copy into pass 3's buffer, at least; 1-2 cost 3-6% on scanned blocks
 LOG_TINY = -700.0           # full log-likelihood below this in every state: weights underflowed
 STEP_BUDGET = 50_000_000    # grid steps per trial
 TRIAL_STEP_BUDGET = 10_000_000_000  # trials * grid steps per sweep row
@@ -160,12 +161,15 @@ def _filter_block(
     fills in the steps inside every chunk at once from its start state. That
     is about 3 sqrt(steps) array operations instead of steps of them. Pass 1
     costs d^2 per trial-step against d for the plain recursion, so past
-    SCAN_MAX_BATCH_D2 the block is one chunk and pass 3 is that recursion.
-    The passes run in weights itself: the full chunks of each (trial, state)
-    row are reordered in place, step k of every chunk side by side, and put
-    back after pass 3. The last chunk is copied in and out about sqrt(steps)
-    steps at a time, so beside weights the kernel holds one row and buffers
-    the size of a chunk, not a block-sized array.
+    SCAN_MAX_BATCH_D2 the block is one chunk of every step, and pass 3 alone
+    is that recursion, through the same loop. The passes run in weights
+    itself: the full chunks of each (trial, state) row are reordered in
+    place, step k of every chunk side by side, and put back after pass 3.
+    Pass 3 copies a slab of steps of every chunk, the ragged last one
+    included, into one buffer, filters it there and copies it back: at least
+    SLAB_MIN_STEPS steps a slab, about sqrt(steps) when there is one chunk.
+    So beside weights the kernel holds one row and buffers the size of a few
+    chunks, not a block-sized array.
     """
     batch, steps, d = weights.shape
     # A block whose weights are all 1 carries no information: stepwise, a
@@ -232,33 +236,28 @@ def _filter_block(
                 nxt = (prods[:, :, :, c] * lw).sum(axis=1)
                 starts[:, :, c + 1] = nxt / (ones @ nxt)
         # Pass 3: the predict/correct recursion inside every chunk at once,
-        # each step's states overwriting the weights it has just used. The
-        # last chunk runs through tail, tile steps at a time (its only tile
-        # when the block is scanned), padded with predict-only steps of
-        # weight 1, so each step reads and writes contiguous slices.
-        tail = np.empty((tile, d, batch))
-        wk = np.empty(starts.shape)
+        # each step's states overwriting the weights they have just used. It
+        # runs span steps at a time through buf: the full chunks' weights from
+        # hk, the last chunk's from its rows, padded past its end with
+        # predict-only steps of weight 1, so each step reads one array.
+        span = max(SLAB_MIN_STEPS, -(-tile // chunks))
+        buf = np.empty((span, d, batch, chunks))
         m = starts.reshape(d, -1)
-        for t0 in range(0, length, tile):
-            r = min(rest - t0, tile)
-            tail[:r] = weights[:, head + t0 : head + t0 + r].transpose(1, 2, 0)
-            tail[r:] = 1.0
-            for k in range(t0, min(t0 + tile, length)):
+        for k0 in range(0, length, span):
+            k1 = min(k0 + span, length)
+            r = max(min(rest, k1) - k0, 0)
+            slab = buf[: k1 - k0]
+            slab[..., :-1] = hk[k0:k1]
+            slab[:r, ..., -1] = weights[:, head + k0 : head + k0 + r].transpose(1, 2, 0)
+            slab[r:, ..., -1] = 1.0
+            for w in slab:
                 m = TT @ m
                 step = m.reshape(starts.shape)
-                if chunks == 1:  # the plain recursion; the gather below gives
-                    # the same bits but costs about 15% on one-chunk blocks
-                    step *= tail[k - t0, :, :, None]
-                    m /= ones @ m
-                    tail[k - t0] = m
-                else:  # every chunk's weights of step k gathered into one array first
-                    wk[..., :-1] = hk[k]
-                    wk[..., -1] = tail[k - t0]
-                    step *= wk
-                    m /= ones @ m
-                    hk[k] = step[..., :-1]
-                    tail[k - t0] = step[..., -1]
-            weights[:, head + t0 : head + t0 + r] = tail[:r].transpose(2, 0, 1)
+                step *= w
+                m /= ones @ m
+                w[...] = step
+            hk[k0:k1] = slab[..., :-1]
+            weights[:, head + k0 : head + k0 + r] = slab[:r, ..., -1].transpose(2, 0, 1)
     reorder(by_step, by_chunk)
     if not np.all(np.isfinite(weights[:, -1])):
         raise DegenerateWeight("filter mass vanished; refine dt for this kappa")
@@ -390,26 +389,20 @@ def simulate_bundle(
     The bundle is trial 0 of estimate_stationary_error(seed=seed), drawn by
     the estimator's own trial sampler over the whole grid of
     round(horizon / dt) cells: run_filter on its increments filters the
-    record that trial filters at the same dt and horizon, so the seed obeys
-    the SimParams rule (a nonnegative integer). A grid with no cells, or more
-    than STEP_BUDGET, is refused before any sampling.
+    record that trial filters at the same dt and horizon, so horizon, dt and
+    seed obey the SimParams rules. A grid with no cells, or more than
+    STEP_BUDGET, is refused before any sampling.
     """
-    check_positive("horizon", horizon)
-    check_positive("dt", dt)
+    seed = SimParams(horizon=horizon, dt=dt, seed=seed).seed
     check_kappa(kappa)
-    seed = check_integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
     steps = _grid_steps(horizon, dt)
-    if steps == 0:
-        raise ValueError(f"horizon {horizon:g} rounds to 0 grid steps of dt {dt:g}")
     trial = _trial_path(model, seed, 0, steps * dt)
     inc = _observe(trial, model.h, np.arange(steps + 1) * dt, kappa * np.sqrt(dt))
     return TrajectoryBundle(*trial[0], inc, dt, kappa, seed)
 
 
 def _grid_steps(horizon: float, dt: float) -> int:
-    """round(horizon / dt) grid cells of one trial, refused over STEP_BUDGET before sampling."""
+    """round(horizon / dt) grid cells of one trial, refused at 0 or over STEP_BUDGET before sampling."""
     ratio = horizon / dt
     # Checked as a float, before int() can overflow on it; round() takes a
     # ratio up to half a step over the budget down to the budget.
@@ -418,7 +411,10 @@ def _grid_steps(horizon: float, dt: float) -> int:
             f"dt {dt:g} needs {ratio:.0f} grid steps per trial, over the budget of {STEP_BUDGET}; "
             "use a larger dt or a shorter horizon"
         )
-    return int(round(ratio))
+    steps = int(round(ratio))
+    if steps == 0:
+        raise ValueError(f"horizon {horizon:g} rounds to 0 grid steps of dt {dt:g}")
+    return steps
 
 
 def _trial_path(

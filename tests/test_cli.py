@@ -318,6 +318,15 @@ class TestErrors:
         assert code == 1
         assert "line 1" in err
 
+    def test_an_unlisted_exception_keeps_its_traceback(self, monkeypatch):
+        """A failure whose class EXITS does not list is a bug: run_command re-raises it."""
+        def bug(model):
+            raise RuntimeError("not an input error")
+
+        monkeypatch.setattr(cli, "finite_verdict", bug)
+        with pytest.raises(RuntimeError, match="^not an input error$"):
+            run_command(["analyze", "--model", TWOSTATE])
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "sweep")
         assert code == 1
@@ -413,6 +422,15 @@ class TestErrors:
         assert code == 2
         assert "Traceback" not in err
         assert "note: kappa=0.5: error: ValueError: dt 1e-10 needs inf grid steps per trial" in err
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == [""]
+
+    def test_grid_without_steps_fails_per_row(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--model", TWOSTATE, "--kappa", "0.5", "--dt", "5", "--horizon", "1",
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert "note: kappa=0.5: error: ValueError: horizon 1 rounds to 0 grid steps of dt 5" in err
         assert [line.split(",")[1] for line in out.splitlines()[1:]] == [""]
 
     @pytest.mark.parametrize("burn_in, shown", [("100", "100.0"), ("1e308", "1e+308")])

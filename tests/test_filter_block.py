@@ -94,7 +94,8 @@ def test_path_overwrites_the_weights(layout, batch, steps, d):
     """The path is written into the weights array, in its own layout, and that
     array is returned; a scanned block with a ragged last chunk (3 x 57 x 2) and
     with a full one (3 x 64 x 2, an 8 x 8 grid), and one-chunk blocks by size
-    (64 x 65 x 6) and by length (3 x 2 x 3)."""
+    (64 x 65 x 6) and by length (3 x 2 x 3). The layout moves no bit of the path:
+    the estimator filters state-major, the tests here mostly trial-major."""
     rng = np.random.default_rng([batch, steps, d])
     T = random_chain(d, rng)
     factors = shifted_weights(rng.normal(0.0, 2.0, (batch, steps, d)))
@@ -105,6 +106,7 @@ def test_path_overwrites_the_weights(layout, batch, steps, d):
     assert out is weights
     assert np.shares_memory(out, weights)
     assert np.max(np.abs(out - reference_filter(mu, T, factors))) <= TOL
+    assert np.array_equal(out, wonham._filter_block(mu, T, in_layout(factors, "trial_major")))
 
 
 def test_uninformative_block_keeps_the_stationary_law_exactly():

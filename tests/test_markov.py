@@ -16,7 +16,7 @@ from maxacc import (
     stationary_distribution,
     time_reverse,
 )
-from maxacc.errors import NotRateMatrix, NotUniqueStationary, ZeroSupport
+from maxacc.errors import InvalidInput, NotRateMatrix, NotUniqueStationary, ZeroSupport
 from maxacc.markov import (
     _at_points,
     integrated_observation,
@@ -99,6 +99,11 @@ class TestModelConstruction:
     def test_h_row_count_must_match_states(self):
         with pytest.raises(NotRateMatrix):
             FiniteStateModel(SYM2, [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_h_must_be_finite(self, bad):
+        with pytest.raises(InvalidInput, match="^observation table has non-finite entries$"):
+            FiniteStateModel(SYM2, [0.0, bad])
 
     def test_variance_of_indicator(self):
         model = FiniteStateModel(SYM2, [0.0, 1.0])

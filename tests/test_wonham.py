@@ -297,7 +297,7 @@ class TestEstimator:
     @pytest.mark.parametrize("horizon", [25.0, 80.0])
     @pytest.mark.parametrize("name", ["two_state", "quad"])
     def test_working_set_stays_under_one_and_a_quarter_blocks(self, monkeypatch, name, horizon):
-        """One kappa 0.05 estimate peaks at 1.12 arrays of batch x BLOCK_STEPS x d, both as
+        """One kappa 0.05 estimate peaks at 1.13 arrays of batch x BLOCK_STEPS x d, both as
         a two-block row (horizon 25: 16384 + 3616 steps) and a four-block one (horizon 80),
         on the two-state chain and on QUAD (d = 4, n = 2, the feed's matmul branch): the
         weights the path overwrites, with one trial's feed and the kernel's chunk-sized
@@ -317,8 +317,8 @@ class TestEstimator:
     @pytest.mark.parametrize("scanned", [True, False])
     def test_kernel_allocates_under_a_quarter_block(self, scanned):
         """_filter_block on a 32 x 16384 x 2 state-major block works in place: scanned, it
-        allocates 0.09 of the block (one row, the chunk buffers); as one chunk (all weights
-        1), a tile of the last chunk at a time. Neither copies the block."""
+        allocates 0.11 of the block (one row, the chunk buffers); as one chunk (all weights
+        1), a slab of about sqrt(steps) steps at a time. Neither copies the block."""
         T = wonham._transition(two_state(), 0.00125)
         storage = np.ones((2, 32, wonham.BLOCK_STEPS))
         if scanned:
@@ -463,6 +463,12 @@ class TestEstimator:
         assert simulate_bundle(two_state(), 20.0, 0.3, 0.1).obs_increments.shape == (200, 1)
         with pytest.raises(ValueError, match="^dt 0.1 needs 201 grid steps"):
             simulate_bundle(two_state(), 20.1, 0.3, 0.1)
+
+    def test_grid_without_steps_is_refused_as_an_empty_grid(self):
+        """A horizon that rounds to no grid steps is refused by simulate_bundle's grid
+        rule, not blamed on the burn-in."""
+        with pytest.raises(ValueError, match="^horizon 1 rounds to 0 grid steps of dt 5$"):
+            estimate_stationary_error(two_state(), np.zeros(2), 0.5, horizon=1.0, dt=5.0, burn_in=0.0)
 
     def test_overflowing_grid_is_a_budget_error_before_simulation(self, monkeypatch):
         """A horizon / dt that overflows to inf is refused by the budget rule, not by int()."""
@@ -611,6 +617,14 @@ class TestSweep:
         result = kappa_sweep_finite(model, np.array([1.0, 0.0]), [0.5, 0.1], params)
         assert result.trend == "plateau"
         assert result.flag == "CONSISTENT"
+
+    def test_an_exact_filter_decays(self):
+        """A one-state chain's filter is exact, so every row's error is 0: a decay."""
+        model = FiniteStateModel([[0.0]], [1.0])
+        params = SimParams(trials=2, horizon=5.0, seed=13)
+        result = kappa_sweep_finite(model, np.array([1.0]), [0.5, 0.3], params)
+        assert [r.estimate for r in result.rows] == [0.0, 0.0]
+        assert result.trend == "decays"
 
     def test_failed_row_recorded_not_raised(self):
         """burn_in >= horizon is a per-row failure; the sweep still returns."""
