@@ -20,6 +20,7 @@ role of the Monte-Carlo sweep in the finite-state case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,8 +131,19 @@ class LinearGaussianModel:
 
 
 def is_stable(A: np.ndarray) -> bool:
-    """True when every eigenvalue of A has negative real part."""
-    return bool(np.max(np.linalg.eigvals(A).real) < 0)
+    """True when every eigenvalue of A has negative real part.
+
+    Reads the eigenvalues from one LAPACK geev call, as np.linalg.eigvals
+    does, without numpy's per-call wrapping. A non-finite A, or a geev that
+    does not converge, raises numpy's LinAlgError (a ValueError) with
+    numpy's message, so riccati_stationary moves on to its next start.
+    """
+    if not np.isfinite(A).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    wr, _, _, _, info = sla.lapack.dgeev(A, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return bool(wr.max() < 0)
 
 
 def _pbh_rank_ok(A: np.ndarray, eigs: np.ndarray, B: np.ndarray) -> bool:
@@ -195,18 +207,22 @@ def lyapunov_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return S
 
 
-def transfer_eval(model: LinearGaussianModel, lam: complex) -> np.ndarray:
+def transfer_eval(model: LinearGaussianModel, lam) -> np.ndarray:
     """Evaluate the transfer matrix G(lam) = H (lam I - A)^{-1} D.
 
-    Uses a linear solve, never an explicit inverse. Raises SingularShift when
-    lam is an eigenvalue of A (within a relative tolerance), where G has a
-    pole rather than a value.
+    lam is one point, or a 1-d array of k points for the k x n x m stack of
+    their values, taken in one batched solve. Uses a linear solve, never an
+    explicit inverse. Raises SingularShift when a point is an eigenvalue of
+    A (within a relative tolerance), where G has a pole rather than a value.
     """
     A, D, H, eigs = model.A, model.D, model.H, model.eigs
-    scale = max(1.0, float(np.max(np.abs(eigs))), abs(lam))
-    if np.min(np.abs(eigs - lam)) <= SHIFT_TOL * scale:
-        raise SingularShift(f"lambda = {lam} is an eigenvalue of A")
-    X = np.linalg.solve(lam * np.eye(model.p) - A, D.astype(complex))
+    rho = float(np.max(np.abs(eigs)))
+    points = [lam] if np.ndim(lam) == 0 else lam
+    for point in points:
+        scale = max(1.0, rho, abs(point))
+        if np.min(np.abs(eigs - point)) <= SHIFT_TOL * scale:
+            raise SingularShift(f"lambda = {point} is an eigenvalue of A")
+    X = np.linalg.solve(np.asarray(lam)[..., None, None] * np.eye(model.p) - A, D.astype(complex))
     return H @ X
 
 
@@ -222,8 +238,8 @@ def _probe_scale(model: LinearGaussianModel, radius: float) -> tuple[float, int]
     """
     scale = 0.0
     rank = 0
-    for ref in _probe_points(radius):
-        s = np.linalg.svd(transfer_eval(model, ref), compute_uv=False)
+    G = transfer_eval(model, np.array(_probe_points(radius)))
+    for s in np.linalg.svd(G, compute_uv=False):
         if s.size and s[0] > scale:
             scale = float(s[0])
         rank = max(rank, _svd_rank(s))
@@ -414,11 +430,18 @@ class RiccatiSolution:
         self.trace = float(np.trace(self.P))
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """np.linalg.norm(M) of a real float array, computed as numpy computes it, without its dispatch."""
+    v = M.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _riccati_residual(A: np.ndarray, Q: np.ndarray, H: np.ndarray, r: float, P: np.ndarray) -> float:
+    AP = A @ P
     corr = P @ H.T @ H @ P / r
-    res = A @ P + P @ A.T + Q - corr
-    denom = np.linalg.norm(Q) + 2 * np.linalg.norm(A @ P) + np.linalg.norm(corr)
-    return float(np.linalg.norm(res) / max(denom, 1e-300))
+    res = AP + P @ A.T + Q - corr
+    denom = _frobenius(Q) + 2 * _frobenius(AP) + _frobenius(corr)
+    return float(_frobenius(res) / max(denom, 1e-300))
 
 
 def _kleinman(
@@ -432,12 +455,14 @@ def _kleinman(
     is not stabilizing.
     """
     best = None
+    HT = H.T
+    solve_lyapunov = sla.solve_continuous_lyapunov
     for _ in range(30):
-        K = P @ H.T / r
+        K = P @ HT / r
         Acl = A - K @ H
         if not is_stable(Acl):
             return best
-        P = sla.solve_continuous_lyapunov(Acl, -(Q + r * K @ K.T))
+        P = solve_lyapunov(Acl, -(Q + r * K @ K.T))
         P = 0.5 * (P + P.T)
         best = P, _riccati_residual(A, Q, H, r, P)
         if best[1] < 1e-12:

@@ -8,10 +8,13 @@ their number entries, the part under test.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import solve_continuous_are
+from scipy.special import k0e, k1e
 
 from maxacc import FiniteStateModel, time_reverse
 from maxacc.modelfile import DECIMAL, MODEL_FILE_SCHEMA, REPORT_SCHEMA
@@ -194,6 +197,65 @@ def ks_limit_trace(A: np.ndarray, D: np.ndarray, H: np.ndarray, zeros) -> float:
     X, u, z = np.column_stack(X), np.array(u), np.array(right)
     M = np.outer(u.conj(), u) / (z.conj()[:, None] + z[None, :])
     return float(np.trace(X @ np.linalg.solve(M, X.conj().T)).real)
+
+
+def relative_degree(A: np.ndarray, D: np.ndarray, H: np.ndarray) -> int:
+    """Reference relative degree r: the first k with H A^(k-1) D != 0.
+
+    The Markov parameter H A^(k-1) D counts as zero when it is at most
+    RANK_TOL times |H| |A^(k-1) D|. The Riccati trace of a maximally
+    accurate model falls like kappa^(1/r) as kappa -> 0. Single-input,
+    single-output only: the multi-channel rate comes from the orders of the
+    zeros at infinity, which nothing here computes.
+    """
+    A, D, H = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, D, H))
+    (p, m), n = D.shape, H.shape[0]
+    if m != 1 or n != 1:
+        raise ValueError(
+            f"relative_degree is checked for single-input, single-output models only, got m = {m}, n = {n}"
+        )
+    v = D[:, 0]
+    for k in range(1, p + 1):
+        if abs(H[0] @ v) > RANK_TOL * np.linalg.norm(H) * np.linalg.norm(v):
+            return k
+        v = A @ v
+    raise ValueError("H A^(k-1) D vanishes for every k <= p: the transfer function is zero")
+
+
+def two_state_error(rate: float, h_gap: float, f_gap: float, kappa: float) -> float:
+    """Reference stationary filter error of a symmetric two-state chain.
+
+    The chain jumps at `rate` each way and is observed through h with
+    h(1) - h(0) = h_gap; f(1) - f(0) = f_gap. The error is f_gap^2 E[p(1 - p)]
+    under the stationary law of the Wonham filter p (Wonham 1965), whose
+    density is proportional to exp(-c / (p(1 - p))) / (p(1 - p))^2 with
+    c = 2 rate kappa^2 / h_gap^2. The substitution u = 1 / (p(1 - p)) gives
+    f_gap^2 K0(z) / (2 (K0(z) + K1(z))) with z = 2c. k0e and k1e carry the
+    same factor exp(z), which cancels in the ratio.
+    """
+    z = 4.0 * rate * kappa**2 / h_gap**2
+    k0, k1 = k0e(z), k1e(z)
+    return float(f_gap**2 * k0 / (2.0 * (k0 + k1)))
+
+
+def two_state_error_by_quadrature(rate: float, h_gap: float, f_gap: float, kappa: float) -> float:
+    """two_state_error by quadrature of the Wonham filter's stationary density.
+
+    In the logit t = log(p / (1 - p)), dp = p(1 - p) dt and
+    1 / (p(1 - p)) = 2 + 2 cosh t, so both integrands are smooth and even in
+    t; past the upper limit they are below 1e-160 of their peak.
+    """
+    c = 2.0 * rate * kappa**2 / h_gap**2
+    top = math.acosh(200.0 / c)
+
+    def density(t: float) -> float:  # in t, so with the Jacobian p(1 - p)
+        u = 2.0 + 2.0 * math.cosh(t)
+        return math.exp(-c * u) * u
+
+    mass = quad(density, 0.0, top, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    moment = quad(lambda t: density(t) / (2.0 + 2.0 * math.cosh(t)), 0.0, top,
+                  epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    return f_gap**2 * moment / mass
 
 
 # The sim fields that the model-file schema lets be null.

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import re
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad_vec
 from scipy.linalg import block_diag, expm
 
@@ -35,7 +41,7 @@ from maxacc.errors import (
 from maxacc.lingauss import CERT_ACCEPT, CERT_REJECT, is_stable
 from maxacc.modelfile import parse_model_file
 from maxacc.verdicts import BOUNDARY, LEFT, OPEN_RIGHT
-from oracles import care_gain, ks_limit_trace, pbh_flags
+from oracles import care_gain, ks_limit_trace, pbh_flags, relative_degree
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -165,6 +171,45 @@ class TestModelValidation:
             LinearGaussianModel([[-1.0]], [[1.0]], [[1.0], [2.0]])
 
 
+@st.composite
+def square_matrices(draw) -> np.ndarray:
+    """A real p x p matrix, p <= 6, as drawn or shifted to put its rightmost
+    eigenvalue (as np.linalg.eigvals reads it) 1e-9 or 1e-6 off the axis."""
+    p = draw(st.integers(1, 6))
+    elements = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+    M = draw(arrays(np.float64, (p, p), elements=elements))
+    offset = draw(st.sampled_from([None, -1e-6, -1e-9, 1e-9, 1e-6]))
+    if offset is not None:
+        M = M - (float(np.max(np.linalg.eigvals(M).real)) - offset) * np.eye(p)
+    return M
+
+
+class TestIsStable:
+    """is_stable reads LAPACK geev directly; it must decide as numpy's eigvals does."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(square_matrices())
+    def test_agrees_with_numpy_eigvals(self, A):
+        assert is_stable(A) == bool(np.max(np.linalg.eigvals(A).real) < 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_raises_numpys_error(self, bad):
+        A = np.array([[-1.0, 0.0], [bad, -2.0]])
+        with pytest.raises(np.linalg.LinAlgError) as numpy_error:
+            np.linalg.eigvals(A)
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            is_stable(A)
+        assert str(ours.value) == str(numpy_error.value) == "Array must not contain infs or NaNs"
+
+    def test_unconverged_eigenvalues_raise_numpys_error(self, monkeypatch):
+        def unconverged(A, compute_vl, compute_vr):
+            return np.zeros(2), np.zeros(2), None, None, 1
+
+        monkeypatch.setattr(lingauss.sla, "lapack", types.SimpleNamespace(dgeev=unconverged))
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            is_stable(-np.eye(2))
+
+
 class TestLyapunov:
     def test_negative_identity(self):
         S = lyapunov_solve(-np.eye(2), np.eye(2))
@@ -210,6 +255,22 @@ class TestTransferEval:
     def test_pole_rejected(self):
         with pytest.raises(SingularShift):
             transfer_eval(benchmark(), -1.0)
+
+    def test_array_of_points_stacks_the_single_values(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            model = random_stable_lg(rng, p_max=6)
+            radius = 2.0 * (1.0 + float(np.max(np.abs(model.eigs))))
+            points = [radius + 0j, radius * 1j, radius * (0.6 + 0.8j), 0.5 * radius * (1 + 1j)]
+            points += list(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            stacked = transfer_eval(model, np.array(points))
+            assert stacked.shape == (len(points), model.n, model.m)
+            assert np.array_equal(stacked, np.stack([transfer_eval(model, z) for z in points]))
+
+    def test_a_pole_among_the_points_is_named(self):
+        points = np.array([1.0 + 0j, 0.5j, -4.0 + 0j, 2.0 + 0j])
+        with pytest.raises(SingularShift, match=re.escape(f"lambda = {points[2]} is an eigenvalue")):
+            transfer_eval(benchmark(), points)
 
 
 class TestTransmissionZeros:
@@ -481,6 +542,44 @@ class TestKsLimitOracle:
     def test_multi_input_refused(self):
         with pytest.raises(ValueError, match="single-input"):
             ks_limit_trace(-np.eye(2), np.eye(2), np.eye(2), [])
+
+
+def companion_r3() -> LinearGaussianModel:
+    """Poles -1, -2 and -3 in companion form, D = e_3 and H = e_1: r = 3, no finite zero."""
+    A = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-6.0, -11.0, -6.0]]
+    return LinearGaussianModel(A, [[0.0], [0.0], [1.0]], [[1.0, 0.0, 0.0]])
+
+
+class TestRelativeDegree:
+    """The Riccati trace of a maximally accurate model falls like kappa^(1/r)."""
+
+    CASES = {
+        1: (lambda: parse_model_file(MODELS_DIR / "ks_minimum_phase.json").model, (1e-6, 1e-7)),
+        2: (lambda: LinearGaussianModel([[0.0, 1.0], [-2.0, -3.0]], [[0.0], [1.0]], [[1.0, 0.0]]),
+            (1e-5, 1e-6)),
+        3: (companion_r3, (1e-7, 1e-8)),
+    }
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_oracle(self, r):
+        model = self.CASES[r][0]()
+        assert relative_degree(model.A, model.D, model.H) == r
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_trace_falls_like_kappa_to_the_one_over_r(self, r):
+        make, (k_hi, k_lo) = self.CASES[r]
+        model = make()
+        assert ks_check(model).maximal_accuracy
+        slope = math.log10(
+            riccati_stationary(model, k_hi).trace / riccati_stationary(model, k_lo).trace
+        ) / math.log10(k_hi / k_lo)
+        assert slope == pytest.approx(1 / r, abs=0.05)
+
+    def test_multi_channel_refused(self):
+        with pytest.raises(ValueError, match="single-input, single-output"):
+            relative_degree(-np.eye(2), np.eye(2)[:, :1], np.eye(2))
+        with pytest.raises(ValueError, match="single-input, single-output"):
+            relative_degree(-np.eye(2), np.eye(2), np.eye(2)[:1])
 
 
 class TestKsCheck:

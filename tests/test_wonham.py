@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from maxacc import (
 )
 from maxacc import wonham
 from maxacc.errors import DegenerateWeight
+from maxacc.modelfile import parse_model_file
 from maxacc.verdicts import F_MAX, UNDECIDED
 from maxacc.wonham import DT_MIN, SimParams, auto_burn_in, auto_dt
+from oracles import two_state_error, two_state_error_by_quadrature
 
 SYM2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -599,6 +602,38 @@ class TestGoldenValues:
         }
         for step, row in recorded.items():
             assert path[step] == pytest.approx(row, rel=1e-12, abs=0.0)
+
+
+class TestTwoStateClosedForm:
+    """The symmetric two-state chain's exact stationary error, e = f_gap^2 K0 / (2 (K0 + K1))."""
+
+    @pytest.mark.parametrize(
+        "kappa, expected", [(0.5, 0.205793), (0.1, 0.0590333), (0.05, 0.0225476), (0.02, 0.00518859)]
+    )
+    def test_closed_form_values(self, kappa, expected):
+        assert two_state_error(1.0, 1.0, 1.0, kappa) == pytest.approx(expected, rel=5e-6)
+
+    @pytest.mark.parametrize(
+        "rate, h_gap, f_gap, kappa",
+        [(1.0, 1.0, 1.0, 0.5), (1.0, 1.0, 1.0, 0.1), (1.0, 1.0, 1.0, 0.05), (1.0, 1.0, 1.0, 0.02),
+         (2.0, 3.0, 1.5, 0.3), (0.5, -2.0, -1.0, 0.7)],
+    )
+    def test_closed_form_is_the_quadrature(self, rate, h_gap, f_gap, kappa):
+        exact = two_state_error(rate, h_gap, f_gap, kappa)
+        assert exact == pytest.approx(two_state_error_by_quadrature(rate, h_gap, f_gap, kappa), rel=1e-6)
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.05])
+    def test_estimator_is_pinned_to_the_closed_form(self, kappa):
+        """models/twostate.json at its own trials, horizon and seed, within 4 standard errors."""
+        parsed = parse_model_file(Path(__file__).resolve().parent.parent / "models" / "twostate.json")
+        model, sim = parsed.model, parsed.sim
+        f = indicator(1, 2)
+        est, se = estimate_stationary_error(
+            model, f, kappa, trials=sim.trials, horizon=sim.horizon, seed=sim.seed
+        )
+        rate, h_gap = model.Lambda[0, 1], model.h[1, 0] - model.h[0, 0]
+        assert model.Lambda[1, 0] == rate  # the closed form is for a symmetric chain
+        assert abs(est - two_state_error(rate, h_gap, 1.0, kappa)) <= 4.0 * se
 
 
 class TestSweep:
