@@ -21,6 +21,7 @@ role of the Monte-Carlo sweep in the finite-state case.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,8 @@ RICCATI_RESIDUAL = 1e-8     # relative residual bound on the stationary equation
 PSD_TOL = 1e-10
 COMPRESSION_SEED = 0x5EED   # seeds the row compression of a tall system's zero search
 GAIN_MARGIN = 1e-6          # reduce_unstable puts every eigenvalue of A - KH left of -GAIN_MARGIN
+# Start of scipy's RuntimeWarning for a Lyapunov equation it solved only after perturbing it
+PERTURBED_LYAPUNOV = 'Input "a" has an eigenvalue pair whose sum is very close to or exactly zero'
 
 
 def _svd_rank(s: np.ndarray) -> int:
@@ -452,21 +455,37 @@ def _kleinman(
     Each step solves one Lyapunov equation for the current closed loop; the
     walk stops at a residual below 1e-12 or after 30 steps. Returns the last
     iterate with its relative residual at r, or None when the starting point
-    is not stabilizing.
+    is not stabilizing. A closed loop that is not stable ends the walk at the
+    iterate before it. A Lyapunov equation that scipy solves only after
+    perturbing it (its warning says an eigenvalue pair sums to about 0) ends
+    the walk with None: the iterate before it can be far from the solution
+    even when its residual is small.
     """
     best = None
     HT = H.T
     solve_lyapunov = sla.solve_continuous_lyapunov
-    for _ in range(30):
-        K = P @ HT / r
-        Acl = A - K @ H
-        if not is_stable(Acl):
-            return best
-        P = solve_lyapunov(Acl, -(Q + r * K @ K.T))
-        P = 0.5 * (P + P.T)
-        best = P, _riccati_residual(A, Q, H, r, P)
-        if best[1] < 1e-12:
-            break
+    # One filter per walk, not per solve. catch_warnings swaps the process-global
+    # filter list (Python 3.11): the filter applies to every thread while the
+    # walk runs, and walks on two threads at once can restore each other's lists.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", PERTURBED_LYAPUNOV, RuntimeWarning)
+        for _ in range(30):
+            K = P @ HT / r
+            Acl = A - K @ H
+            if not is_stable(Acl):
+                return best
+            try:
+                P = solve_lyapunov(Acl, -(Q + r * K @ K.T))
+            except RuntimeWarning as exc:
+                # Only scipy's perturbation warning ends the walk; one that the
+                # caller's own filters made an error goes on to the caller.
+                if not str(exc).startswith(PERTURBED_LYAPUNOV):
+                    raise
+                return None
+            P = 0.5 * (P + P.T)
+            best = P, _riccati_residual(A, Q, H, r, P)
+            if best[1] < 1e-12:
+                break
     return best
 
 

@@ -258,6 +258,35 @@ def two_state_error_by_quadrature(rate: float, h_gap: float, f_gap: float, kappa
     return f_gap**2 * moment / mass
 
 
+def small_noise_leading(Lambda, h, f, kappa: float) -> float:
+    """Reference leading term of a finite chain's stationary filter error at small kappa.
+
+    For a chain with generator Lambda, stationary law pi and pairwise
+    distinct scalar observations h (Khasminskii & Zeitouni 1996),
+
+        e(f, kappa) ~ 4 kappa^2 log(1/kappa) sum_{i != j} pi_i lambda_ij (f_i - f_j)^2 / (h_i - h_j)^2.
+
+    For the symmetric two-state chain it is the leading term of
+    two_state_error. Tied h and multi-channel h (n >= 2) are refused: no law
+    has been checked for either.
+    """
+    Lambda = np.atleast_2d(np.asarray(Lambda, dtype=float))
+    h = np.asarray(h, dtype=float)
+    if h.ndim == 2:
+        if h.shape[1] != 1:
+            raise ValueError(f"small_noise_leading is checked for scalar observations only, got n = {h.shape[1]}")
+        h = h[:, 0]
+    off = ~np.eye(len(h), dtype=bool)
+    gap = np.where(off, h[:, None] - h[None, :], 1.0)
+    if np.any(gap == 0.0):
+        raise ValueError(f"small_noise_leading needs pairwise distinct h, got {h.tolist()}")
+    pi = np.linalg.svd(Lambda.T)[2][-1]  # the null vector of Lambda^T
+    pi = pi / pi.sum()
+    f = np.asarray(f, dtype=float)
+    terms = pi[:, None] * Lambda * (f[:, None] - f[None, :]) ** 2 / gap**2
+    return float(4.0 * kappa**2 * math.log(1.0 / kappa) * terms[off].sum())
+
+
 # The sim fields that the model-file schema lets be null.
 NULLABLE_SIM_FIELDS = ("horizon", "dt", "burn_in")
 

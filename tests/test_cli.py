@@ -99,15 +99,28 @@ class TestZeros:
         assert zero["im"] == pytest.approx(0.0, abs=1e-8)
         assert zero["classification"] == "OPEN_RIGHT"
 
-    def test_unstable_model_is_reduced_with_a_note(self, capsys, tmp_path):
+    @staticmethod
+    def unstable_ks_example(tmp_path) -> str:
         doc = json.loads(Path(KS_EXAMPLE).read_text())
         doc["linear_gaussian"]["A"] = [["1.0", "0.0"], ["0.0", "-4.0"]]
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "zeros", "--model", str(path))
+        return str(path)
+
+    def test_unstable_model_is_reduced_with_a_note(self, capsys, tmp_path):
+        code, out, err = run(capsys, "zeros", "--model", self.unstable_ks_example(tmp_path))
         assert code == 0
         validate_report(json.loads(out))
         assert err == "note: unstable A reduced by output injection\n"
+
+    @pytest.mark.parametrize("name", ["ks_example", "ks_minimum_phase", "ks_boundary_zero", "unstable"])
+    def test_zero_report_is_the_verdicts(self, capsys, tmp_path, name):
+        path = self.unstable_ks_example(tmp_path) if name == "unstable" else str(MODELS_DIR / f"{name}.json")
+        code, zeros, _ = run(capsys, "zeros", "--model", path)
+        assert code == 0
+        code, analyze, _ = run(capsys, "analyze", "--model", path)
+        assert code == 0
+        assert json.loads(zeros)["zero_report"] == json.loads(analyze)["verdict"]["zero_report"]
 
     def test_finite_model_rejected(self, capsys):
         code, _, err = run(capsys, "zeros", "--model", TWOSTATE)
@@ -296,6 +309,29 @@ class TestSweepLinearGaussian:
         )
         assert code == 0
         assert "--trials ignored" in err
+
+    def test_perturbed_lyapunov_solve_fails_its_row_without_a_warning(self, tmp_path):
+        """scipy's RuntimeWarning for a perturbed Lyapunov solve ends the Newton walk, so
+        under the interpreter's default warning filters nothing but the sweep's notes
+        reaches stderr."""
+        doc = json.loads(Path(KS_EXAMPLE).read_text())
+        doc["linear_gaussian"] = {"A": [["0.0", "1.0"], ["-2.0", "-3.0"]], "D": [["0.0"], ["1.0"]],
+                                  "H": [["1.0", "0.0"]]}
+        (tmp_path / "r2.json").write_text(json.dumps(doc))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "maxacc.cli", "sweep", "--model", "r2.json",
+                               "--kappa", "1e-8,1e-10,1e-12"], env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 2
+        rows = proc.stdout.splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["1e-08", "0.0001413613722412823"], ["1e-10", "1.4141537905772725e-05"], ["1e-12", ""]]
+        assert proc.stderr == (
+            "note: kappa=1e-12: error: NoStabilizingSolution: "
+            "Newton continuation lost the stabilizing branch at kappa=1e-11\n"
+            "sweep flag: UNDECIDED (trend 'undecided')\n"
+        )
 
     def test_seed_noted_as_ignored(self, capsys):
         code, plain, _ = run(capsys, "sweep", "--model", KS_EXAMPLE)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -890,6 +891,36 @@ class TestLgSweep:
         status = {r.kappa: r.status for r in result.rows}
         assert status[0.01].startswith("error: LinAlgError")
         assert status[0.1] == status[0.001] == "ok"
+
+    def test_perturbed_lyapunov_solve_fails_its_row(self):
+        """At kappa 1e-12 every start of the relative-degree-2 model reaches a closed loop
+        whose Lyapunov equation scipy solves only after perturbing it, with a RuntimeWarning.
+        That ends the walk, so under warnings-as-errors the row fails in its row; the rows
+        above it run no such solve and keep their traces."""
+        model = LinearGaussianModel([[0.0, 1.0], [-2.0, -3.0]], [[0.0], [1.0]], [[1.0, 0.0]])
+        result = kappa_sweep_lg(model, [1e-8, 1e-10, 1e-12])
+        assert [r.estimate for r in result.rows[:2]] == pytest.approx([1.413613722412823e-4, 1.4141537905772725e-5],
+                                                                     rel=1e-12, abs=0.0)
+        assert result.rows[2].status.startswith("error: NoStabilizingSolution")
+        assert result.flag == "UNDECIDED"
+
+    @pytest.mark.parametrize("message, ends_walk", [
+        (lingauss.PERTURBED_LYAPUNOV + ". Perturbed the equation.", True),
+        ("overflow encountered in matmul", False),
+    ])
+    def test_only_scipys_perturbation_warning_ends_the_walk(self, monkeypatch, message, ends_walk):
+        """Under warnings-as-errors a RuntimeWarning other than scipy's perturbation
+        warning goes on to the caller instead of ending the walk as a failure."""
+        def warn(a, q):
+            warnings.warn(message, RuntimeWarning)
+
+        monkeypatch.setattr(lingauss.sla, "solve_continuous_lyapunov", warn)
+        A, Q, H = -np.eye(2), np.eye(2), np.array([[1.0, 0.0]])
+        if ends_walk:
+            assert lingauss._kleinman(A, Q, H, 1.0, np.eye(2)) is None
+        else:
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                lingauss._kleinman(A, Q, H, 1.0, np.eye(2))
 
     def test_csv_has_empty_simulation_columns(self):
         result = kappa_sweep_lg(benchmark(), [0.1, 0.01])
