@@ -68,9 +68,7 @@ PERTURBED_LYAPUNOV = 'Input "a" has an eigenvalue pair whose sum is very close t
 
 
 def _svd_rank(s: np.ndarray) -> int:
-    """Numerical rank from singular values in descending order."""
-    if s.size == 0 or s[0] == 0:
-        return 0
+    """Numerical rank from singular values in descending order; 0 when all are 0."""
     return int(np.sum(s > RANK_TOL * s[0]))
 
 
@@ -82,12 +80,12 @@ def _rank(M: np.ndarray) -> int:
 class LinearGaussianModel:
     """Linear SDE system matrices A (p x p), D (p x m), H (n x p).
 
-    Construction enforces shape consistency, m <= p and n <= p, finite
-    entries, full rank of D (independent columns) and H (independent rows),
-    and the standing assumptions of validate_model: A is stable, or (A, D)
-    is stabilizable and (A, H) is detectable. A model that exists therefore
-    meets them, and carries the eigenvalues of A (eigs) and whether A is
-    stable (stable).
+    Construction enforces shape consistency, 1 <= m <= p and 1 <= n <= p
+    (no empty D or H), finite entries, full rank of D (independent columns)
+    and H (independent rows), and the standing assumptions of validate_model:
+    A is stable, or (A, D) is stabilizable and (A, H) is detectable. A model
+    that exists therefore meets them, and carries the eigenvalues of A (eigs)
+    and whether A is stable (stable).
     """
 
     A: np.ndarray
@@ -107,9 +105,9 @@ class LinearGaussianModel:
             raise DimensionMismatch(f"D has {self.D.shape[0]} rows, A is {p} x {p}")
         if self.H.shape[1] != p:
             raise DimensionMismatch(f"H has {self.H.shape[1]} columns, A is {p} x {p}")
-        if self.m > p or self.n > p:
+        if not (1 <= self.m <= p and 1 <= self.n <= p):
             raise DimensionMismatch(
-                f"need m <= p and n <= p, got p={p}, m={self.m}, n={self.n}"
+                f"need 1 <= m <= p and 1 <= n <= p, got p={p}, m={self.m}, n={self.n}"
             )
         for name, M in (("A", self.A), ("D", self.D), ("H", self.H)):
             if not np.all(np.isfinite(M)):
@@ -243,7 +241,7 @@ def _probe_scale(model: LinearGaussianModel, radius: float) -> tuple[float, int]
     rank = 0
     G = transfer_eval(model, np.array(_probe_points(radius)))
     for s in np.linalg.svd(G, compute_uv=False):
-        if s.size and s[0] > scale:
+        if s[0] > scale:
             scale = float(s[0])
         rank = max(rank, _svd_rank(s))
     return max(scale, 1e-300), rank

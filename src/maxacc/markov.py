@@ -26,10 +26,10 @@ SUPPORT_TOL = 1e-12     # pi entries below this are treated as transient mass
 
 
 def validate_rate_matrix(Lambda: np.ndarray) -> np.ndarray:
-    """Check that Lambda is a square generator matrix and return it as float."""
+    """Check that Lambda is a nonempty square generator matrix and return it as float."""
     L = np.asarray(Lambda, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise NotRateMatrix(f"generator must be square, got shape {L.shape}")
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or L.size == 0:
+        raise NotRateMatrix(f"generator must be a nonempty square matrix, got shape {L.shape}")
     if not np.all(np.isfinite(L)):
         raise NotRateMatrix("generator has non-finite entries")
     off = L - np.diag(np.diag(L))
@@ -56,8 +56,7 @@ def stationary_distribution(Lambda: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.ones(1)
     s = np.linalg.svd(L.T, compute_uv=False)
-    scale = s[0] if s[0] > 0 else 1.0
-    nullity = int(np.sum(s <= NULLITY_TOL * scale))
+    nullity = int(np.sum(s <= NULLITY_TOL * s[0]))
     if nullity != 1:
         raise NotUniqueStationary(
             f"nullspace of Lambda^T is {nullity}-dimensional; chain has "
@@ -91,7 +90,7 @@ class FiniteStateModel:
         h = np.asarray(self.h, dtype=float)
         if h.ndim == 1:
             h = h[:, None]
-        if h.ndim != 2 or h.shape[0] != self.Lambda.shape[0]:
+        if h.ndim != 2 or h.shape[0] != self.Lambda.shape[0] or h.shape[1] == 0:
             raise NotRateMatrix(
                 f"observation table shape {h.shape} incompatible with "
                 f"{self.Lambda.shape[0]} states"

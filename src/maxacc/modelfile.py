@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -126,13 +127,11 @@ _SCHEMAS = {"model": MODEL_FILE_SCHEMA, "report": REPORT_SCHEMA}
 def _validator(name: str):
     """Validator for MODEL_FILE_SCHEMA ("model") or REPORT_SCHEMA ("report").
 
-    Built on first use and kept for the process, so the schema is checked
-    against its draft's metaschema once rather than once per document.
+    Built on first use and kept for the process. Both schemas are constants:
+    tests/test_modelfile.py checks them against their draft's metaschema.
     """
     schema = _SCHEMAS[name]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 # The keywords _compile knows. Any other raises, so that a schema edit cannot
@@ -241,21 +240,18 @@ class ParsedModelFile:
 
 
 def _to_float(node, path: str, finite: bool = True) -> float:
-    """Number or decimal string to float; SimParams range-checks sim values (finite=False)."""
+    """A real number or DECIMAL string that the schema admitted, as a float.
+
+    The schema decides what is a number; this converts. SimParams range-checks sim values (finite=False).
+    """
     if isinstance(node, bool):
         raise SchemaError(f"{path}: boolean is not a number")
-    if isinstance(node, (int, float)):
-        try:
-            value = float(node)
-        except OverflowError as exc:  # an integer literal beyond the double range
-            raise SchemaError(f"{path}: integer too large for a double") from exc
-    elif isinstance(node, str):
-        try:
-            value = float(node)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: {node!r} is not a decimal number") from exc
-    else:
+    if not isinstance(node, (int, float, str)) and not isinstance(node, numbers.Real):
         raise SchemaError(f"{path}: expected a number, got {type(node).__name__}")
+    try:
+        value = float(node)
+    except OverflowError as exc:  # an integer literal beyond the double range
+        raise SchemaError(f"{path}: integer too large for a double") from exc
     if finite and not math.isfinite(value):
         raise SchemaError(f"{path}: non-finite value {node!r}")
     return value

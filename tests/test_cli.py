@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from maxacc import cli, errors, model_hash, parse_model_file, validate_report
+from maxacc import cli, errors, lingauss, model_hash, parse_model_file, validate_report
 from maxacc.cli import run_command
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -121,6 +121,16 @@ class TestZeros:
         code, analyze, _ = run(capsys, "analyze", "--model", path)
         assert code == 0
         assert json.loads(zeros)["zero_report"] == json.loads(analyze)["verdict"]["zero_report"]
+
+    @pytest.mark.parametrize("command", ["analyze", "zeros"])
+    def test_uncertifiable_candidate_is_undecided(self, capsys, monkeypatch, command):
+        """A candidate zero inside the certification band exits 2 with no report."""
+        monkeypatch.setattr(lingauss, "CERT_ACCEPT", 0.0)
+        monkeypatch.setattr(lingauss, "CERT_REJECT", 1.0)
+        code, out, err = run(capsys, command, "--model", KS_EXAMPLE)
+        assert (code, out) == (2, "")
+        assert err.startswith("undecided: candidate ")
+        assert err.endswith(" falls between the accept (0) and reject (1) thresholds\n")
 
     def test_finite_model_rejected(self, capsys):
         code, _, err = run(capsys, "zeros", "--model", TWOSTATE)

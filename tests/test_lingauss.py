@@ -31,6 +31,7 @@ from maxacc import (
 from maxacc import lingauss
 from maxacc.errors import (
     DimensionMismatch,
+    IllConditionedPencil,
     InvalidInput,
     NoStabilizingSolution,
     NotDetectable,
@@ -171,6 +172,14 @@ class TestModelValidation:
             # n > p: more observation rows than states.
             LinearGaussianModel([[-1.0]], [[1.0]], [[1.0], [2.0]])
 
+    @pytest.mark.parametrize("D, H", [(np.zeros((2, 0)), [[1.0, -2.0]]), ([[1.0], [1.0]], np.zeros((0, 2)))],
+                             ids=["D-without-columns", "H-without-rows"])
+    def test_empty_d_or_h_rejected(self, D, H):
+        """m = 0 or n = 0 is refused when the model is built, so no analysis sees an
+        empty D or H (the zero search and the Riccati sweep would fail in numpy or scipy)."""
+        with pytest.raises(DimensionMismatch, match=r"^need 1 <= m <= p and 1 <= n <= p, got p=2"):
+            LinearGaussianModel(np.diag([-1.0, -4.0]), D, H)
+
 
 @st.composite
 def square_matrices(draw) -> np.ndarray:
@@ -239,6 +248,12 @@ class TestLyapunov:
     def test_unstable_rejected(self):
         with pytest.raises(NotStable):
             lyapunov_solve([[1.0]], [[1.0]])
+
+    def test_unconverged_solve_is_not_stable(self, monkeypatch):
+        """A solve whose refined residual stays large is refused, not returned."""
+        monkeypatch.setattr(lingauss.sla, "solve_continuous_lyapunov", lambda a, q: np.zeros_like(q))
+        with pytest.raises(NotStable, match=r"^Lyapunov residual 1\.41e\+00 did not converge$"):
+            lyapunov_solve(-np.eye(2), np.eye(2))
 
 
 class TestTransferEval:
@@ -421,6 +436,17 @@ class TestTransmissionZeros:
     def test_unstable_drift_rejected(self):
         with pytest.raises(NotStable):
             transmission_zeros(LinearGaussianModel([[1.0]], [[1.0]], [[1.0]]))
+
+    def test_candidate_in_the_certification_band_is_undecided(self, monkeypatch):
+        """A candidate whose sigma_min/scale lies between the two thresholds is neither
+        certified nor dropped. The zero at 2 of ks_example reads 0, inside [0, 1]."""
+        monkeypatch.setattr(lingauss, "CERT_ACCEPT", 0.0)
+        monkeypatch.setattr(lingauss, "CERT_REJECT", 1.0)
+        model = parse_model_file(MODELS_DIR / "ks_example.json").model
+        with pytest.raises(IllConditionedPencil,
+                           match=r"^candidate .*: sigma_min/scale = .* falls between the accept \(0\) "
+                                 r"and reject \(1\) thresholds$"):
+            transmission_zeros(model)
 
     def test_all_zeros_at_infinity(self):
         """det(HD) = 0 with full normal rank: the Rosenbrock determinant is
@@ -835,6 +861,17 @@ class TestRiccatiPaths:
         sol = riccati_stationary(benchmark(), 1e-3, warm=-np.eye(2))
         assert calls == [1e-6]
         assert np.array_equal(sol.P, cold.P)
+
+    def test_indefinite_solution_fails_every_start_and_its_row(self, monkeypatch):
+        """A walk that ends on an indefinite P fails its start even at residual 0;
+        when every start does, the sweep row records the failure."""
+        monkeypatch.setattr(lingauss, "_kleinman", lambda A, Q, H, r, P: (-1e-3 * np.eye(len(A)), 0.0))
+        with pytest.raises(NoStabilizingSolution, match=r"^Riccati solution indefinite at kappa=0\.1$"):
+            riccati_stationary(benchmark(), 0.1)
+        rows = kappa_sweep_lg(benchmark(), [0.1, 0.01]).rows
+        assert [r.status for r in rows] == [
+            f"error: NoStabilizingSolution: Riccati solution indefinite at kappa={k}" for k in (0.1, 0.01)
+        ]
 
     def test_every_start_failing_raises_the_last_starts_failure(self, monkeypatch):
         model = benchmark()

@@ -57,6 +57,13 @@ class TestRateMatrixValidation:
         with pytest.raises(NotRateMatrix):
             validate_rate_matrix([[-np.inf, np.inf], [1.0, -1.0]])
 
+    @pytest.mark.parametrize("build", [validate_rate_matrix, lambda L: FiniteStateModel(L, np.zeros((0, 1)))],
+                             ids=["validate", "model"])
+    def test_empty_generator_rejected(self, build):
+        """A chain needs at least one state; the stationary solve never sees an empty generator."""
+        with pytest.raises(NotRateMatrix, match=r"^generator must be a nonempty square matrix, got shape \(0, 0\)$"):
+            build(np.zeros((0, 0)))
+
 
 class TestStationaryDistribution:
     def test_symmetric_two_state_is_uniform(self):
@@ -99,6 +106,11 @@ class TestModelConstruction:
     def test_h_row_count_must_match_states(self):
         with pytest.raises(NotRateMatrix):
             FiniteStateModel(SYM2, [0.0, 1.0, 2.0])
+
+    def test_h_without_columns_rejected(self):
+        """An observation table needs at least one channel; the verdict never sees an empty h."""
+        with pytest.raises(NotRateMatrix, match=r"^observation table shape \(2, 0\) incompatible with 2 states$"):
+            FiniteStateModel(SYM2, np.zeros((2, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_h_must_be_finite(self, bad):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import jsonschema
@@ -89,6 +90,21 @@ class TestParsing:
     def test_missing_sim_block_gives_empty_spec(self):
         parsed = parse_model_dict(FINITE_DOC)
         assert (parsed.kappas, parsed.sim) == (None, SimParams())
+
+    def test_numpy_reals_the_schema_admits_convert(self):
+        """jsonschema counts every numbers.Real as a number, and the parser converts what it admits."""
+        doc = _changed(FINITE_DOC, "finite.lambda", [[np.float32(-1.5), np.float32(1.5)], [np.int64(2), np.int64(-2)]])
+        doc["sim"] = {"kappas": [np.float32(0.5)], "horizon": np.int64(12)}
+        parsed = parse_model_dict(doc)
+        assert np.array_equal(parsed.model.Lambda, [[-1.5, 1.5], [2.0, -2.0]])
+        assert parsed.kappas == [0.5] and parsed.sim.horizon == 12.0
+        assert type(parsed.kappas[0]) is float and type(parsed.sim.horizon) is float
+
+    @pytest.mark.parametrize("entry, name", [(Decimal("1.5"), "Decimal"), (1.5 + 0j, "complex")])
+    def test_numbers_that_are_not_real_keep_their_message(self, entry, name):
+        """jsonschema admits any numbers.Number; the parser refuses one that is not real by name."""
+        with pytest.raises(SchemaError, match=rf"^finite\.lambda\[0\]\[1\]: expected a number, got {name}$"):
+            parse_model_dict(_changed(FINITE_DOC, "finite.lambda.0.1", entry))
 
 
 class TestSchemaRejections:

@@ -56,6 +56,14 @@ class TestStepPolicies:
     def test_auto_burn_in_frozen_chain(self):
         assert auto_burn_in(FiniteStateModel([[0.0]], [1.0])) == 0.0
 
+    def test_auto_burn_in_falls_back_to_the_slowest_exit_rate(self):
+        """Lambda = 1e-13 [[-1, 1], [1, -1]] relaxes at rate 2e-13, under the absolute
+        1e-12 eigenvalue cutoff, so the burn-in is 10 over the slowest exit rate, 1e-13,
+        not 10 / 2e-13. The cutoff is not scale-free, so this value moves once the same
+        model in other units gets the same answer (ROADMAP item 4)."""
+        model = FiniteStateModel(1e-13 * np.array([[-1.0, 1.0], [1.0, -1.0]]), [0.0, 1.0])
+        assert auto_burn_in(model) == pytest.approx(1e14, rel=1e-12)
+
 
 class TestTransition:
     EXPM_TOL = 1e-13  # largest entry difference from scipy.linalg.expm
