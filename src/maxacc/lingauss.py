@@ -452,14 +452,12 @@ def _kleinman(
 
     Each step solves one Lyapunov equation for the current closed loop; the
     walk stops at a residual below 1e-12 or after 30 steps. Returns the last
-    iterate with its relative residual at r, or None when the starting point
-    is not stabilizing. A closed loop that is not stable ends the walk at the
-    iterate before it. A Lyapunov equation that scipy solves only after
-    perturbing it (its warning says an eigenvalue pair sums to about 0) ends
-    the walk with None: the iterate before it can be far from the solution
-    even when its residual is small.
+    iterate with its relative residual at r, or None when the walk fails: a
+    closed loop that is not stable at any step, the start's included, or a
+    Lyapunov equation that scipy solves only after perturbing it (its warning
+    says an eigenvalue pair sums to about 0). An iterate before a failure can
+    be far from the solution even when its residual is small.
     """
-    best = None
     HT = H.T
     solve_lyapunov = sla.solve_continuous_lyapunov
     # One filter per walk, not per solve. catch_warnings swaps the process-global
@@ -471,7 +469,7 @@ def _kleinman(
             K = P @ HT / r
             Acl = A - K @ H
             if not is_stable(Acl):
-                return best
+                return None
             try:
                 P = solve_lyapunov(Acl, -(Q + r * K @ K.T))
             except RuntimeWarning as exc:
@@ -481,10 +479,10 @@ def _kleinman(
                     raise
                 return None
             P = 0.5 * (P + P.T)
-            best = P, _riccati_residual(A, Q, H, r, P)
-            if best[1] < 1e-12:
+            res = _riccati_residual(A, Q, H, r, P)
+            if res < 1e-12:
                 break
-    return best
+    return P, res
 
 
 def riccati_stationary(
@@ -552,10 +550,10 @@ def kappa_sweep_lg(model: LinearGaussianModel, kappas: list[float]) -> SweepResu
 
     The grid meets check_kappas, then the sweep walks it in descending order,
     warm-starting each solve from the previous solution. Exact rows carry no
-    standard error; the trend classifier uses a synthetic relative band
-    instead. The base scale for the decay/plateau floors is the stationary
-    signal variance trace(Sigma) when A is stable, otherwise the error trace
-    at the largest swept kappa.
+    standard error; classify_trend gives each a half-width of EXACT_HALF_WIDTH
+    times its trace instead. The base scale for the decay/plateau floors is
+    the stationary signal variance trace(Sigma) when A is stable, otherwise
+    the error trace at the largest swept kappa.
     """
     kappas = check_kappas(kappas)
     verdict = ks_check(model)
@@ -573,4 +571,4 @@ def kappa_sweep_lg(model: LinearGaussianModel, kappas: list[float]) -> SweepResu
     else:
         ok = [r for r in rows if r.status == "ok"]
         base = ok[0].estimate if ok else float("nan")
-    return SweepResult.of(rows, verdict, base)
+    return SweepResult(rows, base, verdict)

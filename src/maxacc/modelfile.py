@@ -128,10 +128,16 @@ def _validator(name: str):
     """Validator for MODEL_FILE_SCHEMA ("model") or REPORT_SCHEMA ("report").
 
     Built on first use and kept for the process. Both schemas are constants:
-    tests/test_modelfile.py checks them against their draft's metaschema.
+    tests/test_modelfile.py checks them against their draft's metaschema. The
+    integer type also admits numpy integers (np.bool_ is not one), as
+    check_integer does; the number type already admits numpy numbers.
     """
     schema = _SCHEMAS[name]
-    return jsonschema.validators.validator_for(schema)(schema)
+    cls = jsonschema.validators.validator_for(schema)
+    json_types = cls.TYPE_CHECKER
+    types = json_types.redefine(
+        "integer", lambda _, x: isinstance(x, np.integer) or json_types.is_type(x, "integer"))
+    return jsonschema.validators.extend(cls, type_checker=types)(schema)
 
 
 # The keywords _compile knows. Any other raises, so that a schema edit cannot

@@ -168,12 +168,6 @@ class SweepRow:
     burn_in: float | None = None
     status: str = "ok"
 
-    def half_width(self) -> float:
-        """95% confidence half-width; synthetic for exact rows (see classify_trend)."""
-        if self.std_error is None:
-            return EXACT_HALF_WIDTH * abs(self.estimate)
-        return 1.96 * self.std_error
-
 
 @contextmanager
 def row_failure(row: SweepRow):
@@ -186,19 +180,26 @@ def row_failure(row: SweepRow):
 
 @dataclass
 class SweepResult:
-    """A sweep's rows, its trend and flag, and the verdict it was flagged against."""
+    """A sweep's rows, its trend and flag, and the verdict it was flagged against.
+
+    trend and flag are derived from the rest, never passed: the trend is
+    classify_trend of the rows, and the flag compares it with the trend the
+    verdict predicts ("decays" when maximally accurate, else "plateau").
+    """
 
     rows: list[SweepRow]
     base_variance: float
-    trend: str                  # "decays" | "plateau" | "undecided"
-    flag: str
+    trend: str = field(init=False)   # "decays" | "plateau" | "undecided"
+    flag: str = field(init=False)
     verdict: Verdict
 
-    @classmethod
-    def of(cls, rows: list[SweepRow], verdict: Verdict, base: float) -> SweepResult:
-        """Classify the rows' trend and flag it against the verdict."""
-        trend = classify_trend(rows, base)
-        return cls(rows, base, trend, consistency_flag(trend, verdict.maximal_accuracy), verdict)
+    def __post_init__(self) -> None:
+        self.trend = classify_trend(self.rows, self.base_variance)
+        predicted = "decays" if self.verdict.maximal_accuracy else "plateau"
+        if self.trend == "undecided":
+            self.flag = UNDECIDED
+        else:
+            self.flag = CONSISTENT if self.trend == predicted else INCONSISTENT
 
     def to_csv(self) -> str:
         """Fixed-schema CSV; float fields use repr so output is byte-stable."""
@@ -248,19 +249,12 @@ def classify_trend(rows: list[SweepRow], base_variance: float) -> str:
     slope = float(np.polyfit(np.log(kap), np.log(np.maximum(est, 1e-300)), 1)[0])
     if slope > DECAY_SLOPE and est[-1] < DECAY_FLOOR * base_variance:
         return "decays"
-    band = 2.0 * (rows[-1].half_width() + rows[-2].half_width())
+    # The last two rows' 95% half-widths; an exact row's is EXACT_HALF_WIDTH of its estimate.
+    band = 2.0 * sum(EXACT_HALF_WIDTH * abs(r.estimate) if r.std_error is None else 1.96 * r.std_error
+                     for r in rows[-2:])
     if abs(est[-1] - est[-2]) <= band and est[-1] > PLATEAU_FLOOR * base_variance:
         return "plateau"
     return "undecided"
-
-
-def consistency_flag(trend: str, maximal_accuracy: bool) -> str:
-    """CONSISTENT when the empirical trend matches the algebraic verdict."""
-    if trend == "decays":
-        return CONSISTENT if maximal_accuracy else INCONSISTENT
-    if trend == "plateau":
-        return INCONSISTENT if maximal_accuracy else CONSISTENT
-    return UNDECIDED
 
 
 def to_json(value):

@@ -50,8 +50,10 @@ class SimParams:
 
     Construction checks every field: a ValueError whose message starts with
     the field name, so callers only rename the field. trials and seed must be
-    integers (a bool is refused) and are stored as int. Whether a burn-in
-    leaves samples depends on dt, so the estimator checks that per kappa.
+    integers (a bool is refused) and are stored as int; horizon, dt and
+    burn_in are stored as float, so equal settings write equal bytes. Whether
+    a burn-in leaves samples depends on dt, so the estimator checks that per
+    kappa.
     """
 
     trials: int = 32
@@ -72,6 +74,9 @@ class SimParams:
             raise ValueError(f"burn_in must be nonnegative and finite, got {self.burn_in:g}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("horizon", "dt", "burn_in"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
     def resolve(self, model: FiniteStateModel, kappa: float) -> tuple[float, float]:
         """(dt, burn_in) for one kappa: the given values, else auto_dt and auto_burn_in."""
@@ -564,8 +569,8 @@ def kappa_sweep_finite(
     f, the kappas and MAXACC_THREADS are checked before any row. Rows run at
     kappas sorted in descending order; a per-row failure (for example weight
     underflow at an explicitly forced dt) is recorded in the row status and
-    the remaining rows still run. The empirical trend of the successful rows
-    is flagged CONSISTENT or INCONSISTENT against the algebraic verdict.
+    the remaining rows still run. SweepResult classifies the rows' trend and
+    flags it against the trend the algebraic verdict predicts.
     """
     f = check_test_function(f, model.d)
     kappas = check_kappas(kappas)
@@ -582,4 +587,4 @@ def kappa_sweep_finite(
         with row_failure(row):
             row.estimate, row.std_error = estimate_stationary_error(model, f, kappa, **settings)
         rows.append(row)
-    return SweepResult.of(rows, verdict, base)
+    return SweepResult(rows, base, verdict)

@@ -959,6 +959,14 @@ class TestLgSweep:
             with pytest.raises(RuntimeWarning, match="overflow"):
                 lingauss._kleinman(A, Q, H, 1.0, np.eye(2))
 
+    def test_unstable_closed_loop_after_the_start_fails_the_walk(self, monkeypatch):
+        """A closed loop that is not stable fails the walk at any step, as a perturbed
+        Lyapunov solve does: the walk returns None, not the iterate before it."""
+        stable = iter([True, False])
+        monkeypatch.setattr(lingauss, "is_stable", lambda A: next(stable))
+        A, Q, H = -np.eye(2), np.eye(2), np.array([[1.0, 0.0]])
+        assert lingauss._kleinman(A, Q, H, 1.0, np.eye(2)) is None
+
     def test_csv_has_empty_simulation_columns(self):
         result = kappa_sweep_lg(benchmark(), [0.1, 0.01])
         for line in result.to_csv().splitlines()[1:]:

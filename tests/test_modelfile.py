@@ -106,6 +106,27 @@ class TestParsing:
         with pytest.raises(SchemaError, match=rf"^finite\.lambda\[0\]\[1\]: expected a number, got {name}$"):
             parse_model_dict(_changed(FINITE_DOC, "finite.lambda.0.1", entry))
 
+    @pytest.mark.parametrize("integer", [np.int64, np.uint8])
+    def test_numpy_integers_parse_as_plain_ints(self, integer):
+        """The schema's integer type admits numpy integers, as check_integer does."""
+        plain = dict(FINITE_DOC, sim={"trials": 4, "seed": 7})
+        doc = dict(FINITE_DOC, finite=dict(FINITE_DOC["finite"], d=integer(2)),
+                   sim={"trials": integer(4), "seed": integer(7)})
+        parsed, want = parse_model_dict(doc), parse_model_dict(plain)
+        assert serialize_model(parsed) == serialize_model(want)
+        assert (parsed.kind, parsed.kappas, parsed.sim) == (want.kind, want.kappas, want.sim)
+        assert type(parsed.model.d) is type(parsed.sim.trials) is type(parsed.sim.seed) is int
+        assert model_hash(parsed) == model_hash(want)
+
+    @pytest.mark.parametrize("doc, path", [
+        (dict(FINITE_DOC, finite=dict(FINITE_DOC["finite"], d=np.bool_(True))), "finite.d"),
+        (dict(FINITE_DOC, sim={"trials": np.bool_(True)}), "sim.trials"),
+        (dict(FINITE_DOC, sim={"seed": np.bool_(False)}), "sim.seed"),
+    ])
+    def test_numpy_bool_is_not_an_integer(self, doc, path):
+        with pytest.raises(SchemaError, match=rf"^\$\.{path}: .+ is not of type 'integer'$"):
+            parse_model_dict(doc)
+
 
 class TestSchemaRejections:
     def test_both_families_rejected(self):

@@ -22,6 +22,7 @@ from maxacc import (
 from maxacc import lingauss, wonham
 from maxacc.cli import run_command
 from maxacc.errors import DegenerateWeight, ModelInvariantError, NoStabilizingSolution
+from maxacc.verdicts import to_json
 from maxacc.wonham import SimParams, check_kappa
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -148,6 +149,25 @@ class TestIntegerSettings:
         params = SimParams(trials=np.int64(3), horizon=20.0, burn_in=1.0)
         result = kappa_sweep_finite(two_state(), [0, 1], [0.5], params)
         assert result.to_csv().splitlines()[1].split(",")[3] == "3"
+
+
+class TestRealSettings:
+    def sweep(self, **settings):
+        return kappa_sweep_finite(two_state(), [0, 1], [0.5], SimParams(trials=2, **settings))
+
+    def test_equal_settings_write_equal_bytes(self):
+        """horizon, dt and burn_in are stored as float: an int setting writes what its float does."""
+        as_int, as_float = self.sweep(horizon=20, burn_in=5), self.sweep(horizon=20.0, burn_in=5.0)
+        assert as_int.to_csv() == as_float.to_csv()
+        assert json.dumps(to_json(as_int)) == json.dumps(to_json(as_float))
+
+    def test_numpy_float_settings_encode(self):
+        params = SimParams(horizon=np.float32(20.0), dt=np.float32(0.125), burn_in=np.float16(5.0))
+        assert (type(params.horizon), type(params.dt), type(params.burn_in)) == (float, float, float)
+        result = self.sweep(horizon=np.float32(20.0), dt=np.float32(0.125), burn_in=np.float16(5.0))
+        plain = self.sweep(horizon=20.0, dt=0.125, burn_in=5.0)
+        assert result.to_csv() == plain.to_csv()
+        assert json.dumps(to_json(result)) == json.dumps(to_json(plain))
 
 
 class TestDefaults:

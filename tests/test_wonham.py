@@ -22,7 +22,7 @@ from maxacc import (
 from maxacc import wonham
 from maxacc.errors import DegenerateWeight
 from maxacc.modelfile import parse_model_file
-from maxacc.verdicts import F_MAX, UNDECIDED
+from maxacc.verdicts import CONSISTENT, F_MAX, INCONSISTENT, UNDECIDED, SweepResult, SweepRow, Verdict
 from maxacc.wonham import DT_MIN, SimParams, auto_burn_in, auto_dt
 from oracles import small_noise_leading, two_state_error, two_state_error_by_quadrature
 
@@ -679,6 +679,32 @@ class TestSmallNoiseLaw:
             small_noise_leading(self.CHAIN3, [0.0, 1.0, 0.0], [0.0, 1.0, -1.0], 0.05)
         with pytest.raises(ValueError, match="scalar observations only, got n = 2"):
             small_noise_leading(self.CHAIN3, np.eye(3)[:, :2], [0.0, 1.0, -1.0], 0.05)
+
+
+class TestSweepFlag:
+    """SweepResult derives its trend from its rows and its flag from that trend
+    against the one the verdict predicts: "decays" if maximally accurate, else "plateau"."""
+
+    # Estimates at kappa 0.5, 0.1 and 0.02, each with standard error 0.01, over base variance 1.
+    ESTIMATES = {"decays": [0.2, 0.04, 0.008], "plateau": [0.5, 0.5, 0.5], "undecided": [0.5, 0.4, 0.3]}
+
+    def rows(self, trend: str) -> list[SweepRow]:
+        return [SweepRow(k, e, std_error=0.01) for k, e in zip((0.5, 0.1, 0.02), self.ESTIMATES[trend])]
+
+    @pytest.mark.parametrize("trend, maximal_accuracy, flag", [
+        ("decays", True, CONSISTENT), ("decays", False, INCONSISTENT),
+        ("plateau", True, INCONSISTENT), ("plateau", False, CONSISTENT),
+        ("undecided", True, UNDECIDED), ("undecided", False, UNDECIDED),
+    ])
+    def test_flag_table(self, trend, maximal_accuracy, flag):
+        result = SweepResult(self.rows(trend), 1.0, Verdict("finite", maximal_accuracy))
+        assert (result.trend, result.flag) == (trend, flag)
+
+    @pytest.mark.parametrize("name", ["trend", "flag"])
+    def test_trend_and_flag_are_not_arguments(self, name):
+        """No caller can build a result whose trend or flag contradicts its rows."""
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            SweepResult(self.rows("decays"), 1.0, Verdict("finite", False), **{name: "plateau"})
 
 
 class TestSweep:
